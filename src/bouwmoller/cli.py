@@ -17,16 +17,16 @@ import numpy as np
 from .diagrams import (NotAdmissible, NotChained, arrow_alphabet,
                        admissible_in, build_D0, build_T0, build_Ti,
                        sector_permutation, t0_grid)
-from .farey import (BoundaryOrbit, NoConvergence, DomainError, ff_branches,
-                    farey_F, farey_FF, gamma, itinerary,
+from .farey import (BoundaryOrbit, NoConvergence, DomainError, _angle,
+                    ff_branches, farey_F, farey_FF, gamma, itinerary,
                     direction_from_itinerary, reflection, subsectors)
 from .hooper import build_hooper, moduli
 from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
                      generation_diagram, normalize, pseudo_substitution,
                      substitution, tr_operator, tr_operator_inverse)
 from .surface import NonPositiveShape, build_surface
-from .tracer import (NotCoAdjacent, VertexHit, realize_periodic, sector_of,
-                     start_through, trace)
+from .tracer import (NotCoAdjacent, VertexHit, _cylinder, realize_periodic,
+                     sector_of, start_through, trace)
 
 SMALL_SET = ((3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4))
 
@@ -162,6 +162,8 @@ def _parse_angle(text):
         return float(t)
     num, _, den = t.partition("/")
     den = float(den) if den else 1.0
+    if den == 0:
+        raise SystemExit2(f"angle {text!r} divides by zero")
     coeff = num.replace("pi", "").rstrip("*")
     coeff = float(coeff) if coeff not in ("", "-") else (-1.0 if coeff else 1.0)
     return coeff * math.pi / den
@@ -187,13 +189,6 @@ def _interior_point(surf, rng):
             return k, p
 
 
-def _upper_angle(v):
-    x, y = float(v[0]), float(v[1])
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    return math.atan2(y, x)
-
-
 def _contains(haystack, needle):
     return f",{','.join(map(str, needle))}," in f",{','.join(map(str, haystack))},"
 
@@ -211,7 +206,7 @@ def _random_t0_word(m, n, rng, length):
 # ---------------------------------------------------------------------------
 # Verification checks.  Each returns a dict with "name", "status" and
 # deterministic counts/deviations; keys starting with "_" are stripped from
-# the JSON report (they carry timings for the test suite).
+# the JSON report (they carry timings and trial data for the test suite).
 
 def check_derivation_golden():
     """Cyclic derivation of the golden ten-letter word."""
@@ -398,15 +393,21 @@ def check_itinerary_agreement(m, n, trials=200, seed=7, depth=6, window=420):
 
 
 def check_geometric_oracle(m, n, trials=100, seed=7, window=420):
-    """derive(w) appears verbatim inside an independently traced word on
-    the dual surface in the image direction."""
+    """derive(w) is the cutting sequence of a trajectory on the dual surface
+    in the image direction.
+
+    The dual start points whose trajectory spells derive(w) form one
+    interval, pushed exactly through the word; a trial passes when that
+    interval is not empty and the trajectory from its midpoint, traced
+    literally, crosses derive(w)."""
     t0 = time.perf_counter()
     surf, dual = build_surface(m, n), build_surface(n, m)
     g = gamma(m, n)
     rng = _rng(seed, "oracle", m, n)
     failures = redraws = 0
-    done = 0
-    while done < trials:
+    narrowest = 1.0
+    words = []
+    while len(words) < trials:
         theta = rng.uniform(0, math.pi / n)
         if min(theta, math.pi / n - theta) < 1e-6:
             redraws += 1
@@ -418,32 +419,27 @@ def check_geometric_oracle(m, n, trials=100, seed=7, window=420):
             redraws += 1
             continue
         derived = derive(m, n, labels)
-        image = _upper_angle(g @ np.array([math.cos(theta), math.sin(theta)]))
-        found = False
-        # every long enough dual window contains the derived word, but the
-        # repetitivity constant blows up near parabolic directions; grow
-        # the window geometrically instead of guessing it up front
-        span = 12 * len(derived) + 200
-        for attempt in range(6):
-            dstart = _interior_point(dual, rng)
-            try:
-                dword = list(trace(dual, dstart, image, span).labels)
-            except VertexHit:
-                continue
-            if _contains(dword, derived):
-                found = True
-                break
-            span *= 4
-        if found:
-            done += 1
-        else:
+        image = _angle(g @ np.array([math.cos(theta), math.sin(theta)]))
+        words.append((image, derived))
+        found = _cylinder(dual, derived, image)
+        if found is None:
             failures += 1
-            done += 1
+            narrowest = 0.0
+            continue
+        dstart, width = found
+        narrowest = min(narrowest, width)
+        try:
+            witness = trace(dual, dstart, image, len(derived)).labels
+        except VertexHit:
+            witness = None
+        if witness != derived:
+            failures += 1
     dt = time.perf_counter() - t0
     return {"name": "geometric-oracle", "surface": [m, n],
             "status": "pass" if failures == 0 else "fail",
             "trials": trials, "failures": failures, "redraws": redraws,
-            "_runtime_s": dt}
+            "min_interval_width": narrowest,
+            "_runtime_s": dt, "_words": words}
 
 
 def check_generation_inverse(m, n, trials=100, seed=7):
@@ -631,8 +627,15 @@ def cmd_trace(args):
     theta = _parse_angle(args.theta)
     if args.start:
         start = _parse_start(args.start)
-    else:
+        k, p = start
+        if not (0 <= k < args.m and surf.polygons[k].contains(p)):
+            raise SystemExit2(f"start {args.start} is not inside polygon "
+                              f"{k} of 0..{args.m - 1}")
+    elif args.through in surf.labels:
         start = start_through(surf, args.through, theta)
+    else:
+        raise SystemExit2(f"side {args.through} is not a label "
+                          f"1..{len(surf.labels)}")
     word = trace(surf, start, theta, args.crossings)
     print(",".join(str(x) for x in word.labels))
     data = {"m": args.m, "n": args.n, "direction": theta,
@@ -714,6 +717,9 @@ def cmd_subst(args):
             print(text)
         return 0
     word = _parse_word(args.word)
+    unknown = [name for name in word if name not in table]
+    if unknown:
+        raise SystemExit2(f"unknown arrow names: {','.join(map(str, unknown))}")
     out = [u for name in word for u in table[name]]
     print(",".join(out))
     return 0

@@ -130,27 +130,6 @@ def build_D0(m, n):
     return DerivationDiagram(m, n, grid, labels)
 
 
-def nu_action(diagram):
-    """Exchange the rows of the display symmetrically (an involution)."""
-    return TransitionDiagram(diagram.m, diagram.n, None, tuple(reversed(diagram.grid)))
-
-
-def beta_action(diagram):
-    """Swap horizontally adjacent entries in a brick pattern (an involution).
-
-    Odd display rows keep their first entry and swap columns (2,3), (4,5), ...;
-    even rows swap columns (1,2), (3,4), ...
-    """
-    rows = []
-    for r, row in enumerate(diagram.grid, start=1):
-        row = list(row)
-        start = 1 if r % 2 == 1 else 0
-        for c in range(start, len(row) - 1, 2):
-            row[c], row[c + 1] = row[c + 1], row[c]
-        rows.append(tuple(row))
-    return TransitionDiagram(diagram.m, diagram.n, None, tuple(rows))
-
-
 def _two_sided(surf, label, theta, k):
     """Symbol window of length 2k+1 centered on the crossing of a side."""
     fwd = trace(surf, start_through(surf, label, theta), theta, k + 1)

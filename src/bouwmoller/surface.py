@@ -249,9 +249,5 @@ def _num(x):
     return float(f"{x:.12g}")
 
 
-def build_polygon(n, a, b):
-    return Polygon(n, a, b)
-
-
 def build_surface(m, n):
     return Surface(m, n)

@@ -107,6 +107,59 @@ def trace(surf, start, direction, max_crossings):
     return CuttingWord(labels, crossings, direction, start)
 
 
+def _cylinder(surf, word, direction):
+    """Start just behind word[0] whose trajectory crosses exactly word.
+
+    No label occurs twice in one polygon, so the points of the side word[0]
+    whose trajectory in the given direction crosses word[0], word[1], ...
+    in order form one interval.  It is carried through the word in the
+    transverse coordinate h(p) = d x p, which the flow along d keeps and a
+    gluing translation shifts: in each polygon the interval is clipped to
+    the h-range of the side the trajectory leaves by.  Returns None when
+    the interval is empty, so that no trajectory has this cutting word;
+    otherwise (start, width), the start behind the interval's midpoint and
+    the final interval's width as a fraction of the last side's length.
+    """
+    d = (math.cos(direction), math.sin(direction))
+    seat_of = {(k, label): e for (k, e), label in surf.seat_label.items()}
+
+    def h(p):
+        return d[0] * p[1] - d[1] * p[0]
+
+    def exit_range(k, e):
+        # h-range of edge e of polygon k, or None if d does not leave there
+        a, b = surf.polygons[k].edge(e)
+        lo, hi = h(a), h(b)
+        return (lo, hi) if hi > lo else None
+
+    for k0, e0 in surf.seats(word[0]):
+        span = exit_range(k0, e0)
+        if span is not None:
+            break
+    else:
+        return None
+    lo, hi = first = span
+    (k, _), shift = surf.glue(k0, e0)
+    offset = h(shift)  # h in the current polygon minus h in polygon k0
+    for label in word[1:]:
+        e = seat_of.get((k, label))
+        span = None if e is None else exit_range(k, e)
+        if span is None:
+            return None
+        lo, hi = max(lo, span[0] - offset), min(hi, span[1] - offset)
+        if hi <= lo:
+            return None
+        (k, _), shift = surf.glue(k, e)
+        offset += h(shift)
+    width = (hi - lo) / (span[1] - span[0])
+    a, b = surf.polygons[k0].edge(e0)
+    s = ((lo + hi) / 2 - first[0]) / (first[1] - first[0])
+    back = 1e-7
+    start = (a[0] + s * (b[0] - a[0]) - back * d[0],
+             a[1] + s * (b[1] - a[1]) - back * d[1])
+    return (k0, start), width
+
+
 def start_through(surf, label, direction):
     """Start (polygon, point) just behind the side so the first crossing is it."""
     d = (math.cos(direction), math.sin(direction))

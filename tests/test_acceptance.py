@@ -5,7 +5,12 @@ a single pass/fail line; `bouwmoller verify --all-small` runs the same
 checks from the command line.
 """
 
-from bouwmoller import cli
+import random
+
+import pytest
+
+from bouwmoller import build_surface, cli
+from bouwmoller.tracer import _cylinder
 
 SMALL = list(cli.SMALL_SET)
 DUAL_PAIR = [(4, 3), (3, 4)]
@@ -54,9 +59,27 @@ def test_criterion_07_sector_sequences_match_itineraries():
         report(7, cli.check_itinerary_agreement(m, n, trials=200))
 
 
-def test_criterion_08_derivation_against_traced_dual_words():
+@pytest.fixture(scope="module")
+def oracle_results():
+    return {(m, n): cli.check_geometric_oracle(m, n, trials=100)
+            for m, n in SMALL}
+
+
+def test_criterion_08_derivation_against_traced_dual_words(oracle_results):
     for m, n in SMALL:
-        report(8, cli.check_geometric_oracle(m, n, trials=100))
+        report(8, oracle_results[(m, n)], budget=20.0)
+
+
+def test_criterion_08_rejects_corrupted_words(oracle_results):
+    """Negative control: one changed letter empties the cylinder interval."""
+    for m, n in SMALL:
+        dual = build_surface(n, m)
+        rng = random.Random(f"corrupt:{m}:{n}")
+        for image, word in oracle_results[(m, n)]["_words"]:
+            bad = list(word)
+            i = rng.randrange(len(bad))
+            bad[i] = rng.choice([x for x in dual.labels if x != bad[i]])
+            assert _cylinder(dual, bad, image) is None, (m, n, i, bad)
 
 
 def test_criterion_09_generation_inverts_derivation():

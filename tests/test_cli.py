@@ -95,6 +95,21 @@ def test_trace_report_schema(tmp_path):
     assert len(data["word"]) == len(data["crossings"]) == 8
 
 
+@pytest.mark.parametrize("args", [
+    ("trace", "-m", "4", "-n", "3", "--theta", "pi/0"),
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "9:0,0"),
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "1:0,5"),
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--through", "99"),
+    ("subst", "-m", "4", "-n", "3", "-i", "1", "-j", "1", "--word", "r1,zz"),
+], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
+        "no-such-side", "unknown-arrow"])
+def test_bad_arguments_are_usage_errors(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
 def test_verify_reports_are_byte_deterministic():
     args = ("verify", "-m", "4", "-n", "3", "--trials", "4", "--seed", "7")
     first, second = run_cli(*args), run_cli(*args)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from bouwmoller.diagrams import admissible_in
 from bouwmoller.renorm import derive, fixed_point_form, normalize
 from bouwmoller.surface import build_surface
-from bouwmoller.tracer import (NotCoAdjacent, VertexHit, realize_periodic,
-                               sector_of, start_through, trace)
+from bouwmoller.tracer import (NotCoAdjacent, VertexHit, _cylinder,
+                               realize_periodic, sector_of, start_through,
+                               trace)
 
 
 def test_sector_of():
@@ -26,6 +27,24 @@ def test_trace_regression():
     start = start_through(surf, 1, math.pi / 8)
     word = trace(surf, start, math.pi / 8, 12)
     assert list(word.labels) == [1, 6, 7, 8, 5, 2, 1, 6, 7, 8, 5, 4]
+
+
+def test_cylinder_interval_witnesses_traced_words():
+    rng = random.Random(11)
+    for m, n in ((4, 3), (3, 5)):
+        surf = build_surface(m, n)
+        for _ in range(20):
+            theta = rng.uniform(0, 2 * math.pi)
+            label = rng.choice(surf.labels)
+            try:
+                word = trace(surf, start_through(surf, label, theta), theta,
+                             60).labels
+            except VertexHit:
+                continue
+            start, width = _cylinder(surf, word, theta)
+            assert 0 < width <= 1
+            assert trace(surf, start, theta, len(word)).labels == word
+            assert _cylinder(surf, word + [word[-1]], theta) is None
 
 
 def test_crossings_lie_on_their_sides():
