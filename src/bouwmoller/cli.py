@@ -24,7 +24,7 @@ from .hooper import build_hooper, moduli
 from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
                      generation_diagram, normalize, pseudo_substitution,
                      substitution, tr_operator, tr_operator_inverse)
-from .surface import NonPositiveShape, build_surface
+from .surface import NonPositiveShape, _num, build_surface
 from .tracer import (NotCoAdjacent, VertexHit, _cylinder, realize_periodic,
                      sector_of, start_through, trace)
 
@@ -109,14 +109,9 @@ GOLDEN_DERIVE_43 = ([1, 6, 7, 8, 7, 8, 5, 4, 5, 2], [4, 3, 4, 7, 6, 1])
 # ---------------------------------------------------------------------------
 # Canonical output helpers.
 
-def _sig12(x):
-    """Round to 12 significant decimal digits for stable output."""
-    return float(f"{x:.12g}")
-
-
 def _canon(obj):
     if isinstance(obj, float):
-        return _sig12(obj)
+        return _num(obj)
     if isinstance(obj, dict):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -124,7 +119,7 @@ def _canon(obj):
     if isinstance(obj, np.ndarray):
         return [_canon(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
-        return _sig12(float(obj))
+        return _num(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -159,14 +154,18 @@ def _parse_angle(text):
     """Radians, either a float literal or a multiple of pi like '3*pi/8'."""
     t = text.replace(" ", "")
     if "pi" not in t:
-        return float(t)
-    num, _, den = t.partition("/")
-    den = float(den) if den else 1.0
-    if den == 0:
-        raise SystemExit2(f"angle {text!r} divides by zero")
-    coeff = num.replace("pi", "").rstrip("*")
-    coeff = float(coeff) if coeff not in ("", "-") else (-1.0 if coeff else 1.0)
-    return coeff * math.pi / den
+        angle = float(t)
+    else:
+        num, _, den = t.partition("/")
+        den = float(den) if den else 1.0
+        if den == 0:
+            raise SystemExit2(f"angle {text!r} divides by zero")
+        coeff = num.replace("pi", "").rstrip("*")
+        coeff = float(coeff) if coeff not in ("", "-") else (-1.0 if coeff else 1.0)
+        angle = coeff * math.pi / den
+    if not math.isfinite(angle):
+        raise SystemExit2(f"angle {text!r} is not finite")
+    return angle
 
 
 def _parse_start(text):
@@ -623,6 +622,8 @@ def cmd_surface(args):
 
 
 def cmd_trace(args):
+    if args.crossings < 1:
+        raise SystemExit2(f"--crossings must be at least 1, got {args.crossings}")
     surf = build_surface(args.m, args.n)
     theta = _parse_angle(args.theta)
     if args.start:

@@ -5,7 +5,6 @@ import math
 from functools import lru_cache
 
 from .surface import build_surface
-from .tracer import VertexHit, start_through, trace
 
 
 class NotAdmissible(ValueError):
@@ -45,12 +44,15 @@ def _universal_arrows(grid):
 class TransitionDiagram:
     """Grid of side labels plus the universal arrow pattern."""
 
+    dot_name = "transitions"
+
     def __init__(self, m, n, sector, grid):
         self.m = m
         self.n = n
         self.sector = sector
         self.grid = tuple(tuple(row) for row in grid)
         self.arrows = _universal_arrows(self.grid)
+        self.arrow_labels = {}
 
     def admits(self, word):
         word = list(word)
@@ -63,17 +65,21 @@ class TransitionDiagram:
         return json.dumps(data, sort_keys=True, indent=indent)
 
     def to_dot(self):
-        out = ["digraph transitions {"]
+        out = [f"digraph {self.dot_name} {{"]
         for row in self.grid:
             out.append("  { rank=same; " + "; ".join(str(v) for v in row) + " }")
         for a, b in sorted(self.arrows):
-            out.append(f"  {a} -> {b};")
+            lab = self.arrow_labels.get((a, b))
+            attr = f' [label="{lab}"]' if lab is not None else ""
+            out.append(f"  {a} -> {b}{attr};")
         out.append("}")
         return "\n".join(out)
 
 
 class DerivationDiagram(TransitionDiagram):
     """T_0 with its labeled horizontal arrows (labels in the dual alphabet)."""
+
+    dot_name = "derivation"
 
     def __init__(self, m, n, grid, arrow_labels):
         super().__init__(m, n, 0, grid)
@@ -83,17 +89,6 @@ class DerivationDiagram(TransitionDiagram):
         data = json.loads(super().to_json())
         data["arrow_labels"] = sorted([a, b, l] for (a, b), l in self.arrow_labels.items())
         return json.dumps(data, sort_keys=True, indent=indent)
-
-    def to_dot(self):
-        out = ["digraph derivation {"]
-        for row in self.grid:
-            out.append("  { rank=same; " + "; ".join(str(v) for v in row) + " }")
-        for a, b in sorted(self.arrows):
-            lab = self.arrow_labels.get((a, b))
-            attr = f' [label="{lab}"]' if lab is not None else ""
-            out.append(f"  {a} -> {b}{attr};")
-        out.append("}")
-        return "\n".join(out)
 
 
 def build_T0(m, n):
@@ -130,124 +125,64 @@ def build_D0(m, n):
     return DerivationDiagram(m, n, grid, labels)
 
 
-def _two_sided(surf, label, theta, k):
-    """Symbol window of length 2k+1 centered on the crossing of a side."""
-    fwd = trace(surf, start_through(surf, label, theta), theta, k + 1)
-    bwd = trace(surf, start_through(surf, label, theta + math.pi), theta + math.pi, k + 1)
-    assert fwd.labels[0] == label and bwd.labels[0] == label
-    return list(reversed(bwd.labels[1:])) + fwd.labels
-
-
-def _match_signatures(labels, sig_src, sig_dst, pairs_ok):
-    """All bijections P with sig_dst[P[s]] = P(sig_src[s]) letterwise."""
-    cands = {s: {t for t in labels if pairs_ok(s, t) and _compatible(s, t, sig_src, sig_dst)}
-             for s in labels}
-
-    def close(cand):
-        queue = [s for s in labels if len(cand[s]) == 1]
-        seen = set()
-        while queue:
-            s = queue.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            t = next(iter(cand[s]))
-            for u, v in zip(sig_src[s], sig_dst[t]):
-                if v not in cand[u]:
-                    return None
-                if len(cand[u]) > 1:
-                    cand[u] = {v}
-                    queue.append(u)
-        return cand
-
-    def search(cand):
-        cand = close({s: set(c) for s, c in cand.items()})
-        if cand is None:
-            return []
-        if all(len(c) == 1 for c in cand.values()):
-            sol = {s: next(iter(c)) for s, c in cand.items()}
-            return [sol] if len(set(sol.values())) == len(sol) else []
-        s = min((s for s in labels if len(cand[s]) != 1), key=lambda s: len(cand[s]))
-        found = []
-        for t in sorted(cand[s]):
-            trial = {u: set(c) for u, c in cand.items()}
-            trial[s] = {t}
-            found.extend(search(trial))
-        return found
-
-    return search(cands)
-
-
-def _compatible(s, t, sig_src, sig_dst):
-    """Quick filter: s can map to t only if the window patterns agree."""
-    pat = {}
-    for u, v in zip(sig_src[s], sig_dst[t]):
-        if pat.setdefault(u, v) != v:
-            return False
-    return True
+# Over 2 <= m <= 9, 3 <= n <= 9 and every sector, a reflected seat midpoint
+# lies within 2.1e-14 of the seat midpoint it matches and at least 6.7e-3
+# from every other one, so this tolerance has a wide margin on both sides.
+SEAT_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
 def sector_permutation(m, n, i):
     """Side permutation normalizing sector-i trajectories to sector 0.
 
-    Computed geometrically: the normalizing affine map carries side midpoints
-    to side midpoints and reflects directions across (i+1)pi/(2n), so the
-    permutation is the unique row-respecting bijection conjugating the
-    two-sided cutting sequence windows around each side onto those of the
-    reflected direction.  Requiring rows to map to rows up front matters:
-    when m and n are both even the surface has a central symmetry, and
-    window conjugation alone admits a second, row-reversing bijection.
-    For m = 2 that symmetry fixes the single row, no cutting sequence can
-    see it, and both conjugations normalize; we keep the lexicographically
-    smallest.  Raises ValueError when the reflection does not carry the
-    side direction and length classes to themselves, which happens in the
-    even nonzero sectors whenever m and n are both even.
+    The normalizing affine map reflects directions across the line at angle
+    (i+1)pi/(2n).  It reflects each polygon k about its own centre across
+    that line and then translates the image onto polygon k, or onto polygon
+    m-1-k when it reverses the chain.  Side s goes to side t when the image
+    of each seat midpoint of s lands, within SEAT_TOL, on exactly one seat
+    midpoint of t, and the result must send row r to row r (to row m - r
+    when i - n is even).  Each of the two polygon maps that gives such a
+    bijection is a candidate.  For m = 2 and n even both do in every sector
+    that has a normalization: the central symmetry of the surface fixes the
+    single row, no cutting sequence can tell the two apart, and the
+    lexicographically smallest is kept.  Raises ValueError when neither map
+    works, which happens in the even nonzero sectors whenever m and n are
+    both even.
     """
     if not 0 <= i <= 2 * n - 1:
         raise ValueError(f"sector {i} out of range 0..{2 * n - 1}")
-    labels = list(range(1, n * (m - 1) + 1))
+    labels = range(1, n * (m - 1) + 1)
     if i == 0:
         return {s: s for s in labels}
     surf = build_surface(m, n)
-    window = 40
-    phi = (i + 1) * math.pi / n
-    flip = (i - n) % 2 == 0
+    # cos and sin of twice the angle of the reflecting line
+    c2, s2 = math.cos((i + 1) * math.pi / n), math.sin((i + 1) * math.pi / n)
+    centres = [[sum(v) / (2 * n) for v in zip(*p.vertices)] for p in surf.polygons]
+    seats = [[] for _ in range(m)]  # per polygon: (seat midpoint, label)
+    for (k, e), s in surf.seat_label.items():
+        seats[k].append((surf.polygons[k].edge_midpoint(e), s))
+    want_row = (lambda s: m - surf.row(s)) if (i - n) % 2 == 0 else surf.row
 
-    def pairs_ok(s, t):
-        a, b = surf.sides[s], surf.sides[t]
-        if surf.row(t) != (surf.m - surf.row(s) if flip else surf.row(s)):
-            return False
-        if abs(a.length - b.length) > 1e-9:
-            return False
-        want = (phi - a.direction) % math.pi
-        diff = abs(b.direction - want) % math.pi
-        return min(diff, math.pi - diff) < 1e-9
+    def side_map(image):
+        # the side bijection induced by sending polygon k to image(k), or None
+        perm = {}
+        for k in range(m):
+            (ax, ay), (bx, by) = centres[k], centres[image(k)]
+            for (x, y), s in seats[k]:
+                x, y = x - ax, y - ay
+                q = (bx + c2 * x + s2 * y, by + s2 * x - c2 * y)
+                hits = [t for p, t in seats[image(k)] if math.dist(p, q) < SEAT_TOL]
+                if len(hits) != 1 or perm.setdefault(s, hits[0]) != hits[0]:
+                    return None
+        if (sorted(perm.values()) != list(labels)
+                or any(surf.row(perm[s]) != want_row(s) for s in labels)):
+            return None
+        return {s: perm[s] for s in labels}
 
-    for s in labels:
-        if not any(pairs_ok(s, t) for t in labels):
-            # happens in the even sectors when m and n are both even: no
-            # side matches the reflected direction and length of side s
-            raise ValueError(
-                f"sector {i} of M({m},{n}) has no reflecting normalization")
-
-    for attempt in range(10):
-        lam = 0.3819660112501051 + 0.0137 * attempt
-        theta_src = (i + lam) * math.pi / n
-        theta_dst = phi - theta_src
-        try:
-            sig_src = {s: _two_sided(surf, s, theta_src, window) for s in labels}
-            sig_dst = {s: _two_sided(surf, s, theta_dst, window) for s in labels}
-        except VertexHit:
-            continue
-        sols = _match_signatures(labels, sig_src, sig_dst, pairs_ok)
-        if m == 2 and n % 2 == 0 and len(sols) == 2:
-            sols = [min(sols, key=lambda p: tuple(p[s] for s in labels))]
-        assert len(sols) == 1, f"signature matching found {len(sols)} bijections"
-        perm = sols[0]
-        assert all(perm[perm[s]] == s for s in labels), "not an involution"
-        return perm
-    raise VertexHit(f"no generic direction found for sector permutation {(m, n, i)}")
+    candidates = [p for p in map(side_map, (lambda k: k, lambda k: m - 1 - k)) if p]
+    if not candidates:
+        raise ValueError(f"sector {i} of M({m},{n}) has no reflecting normalization")
+    return min(candidates, key=lambda p: [p[s] for s in labels])
 
 
 def admissible_in(m, n, word):

@@ -3,6 +3,8 @@
 import json
 import math
 
+from .tracer import _exit
+
 
 class NonPositiveShape(ValueError):
     """Raised when a semi-regular polygon would have no positive side."""
@@ -108,14 +110,16 @@ class Side:
 class Surface:
     """M(m,n): a horizontal chain of m semi-regular 2n-gons glued edge to edge.
 
+    Defined for m >= 2 and n >= 3; other parameters raise NonPositiveShape.
+
     Sides are labeled 1..n(m-1); the sides between polygons r-1 and r form
     row r and are numbered in the zigzag order induced by rays alternating
     between directions pi and pi/n from side midpoints.
     """
 
     def __init__(self, m, n):
-        if m < 2 or n < 2:
-            raise NonPositiveShape(f"need m, n >= 2, got ({m}, {n})")
+        if m < 2 or n < 3:
+            raise NonPositiveShape(f"need m >= 2 and n >= 3, got ({m}, {n})")
         self.m = m
         self.n = n
         self.polygons = [Polygon(n, *polygon_params(m, n, k)) for k in range(m)]
@@ -140,29 +144,10 @@ class Surface:
             ang = rays[j % 2]
             d = (math.cos(ang), math.sin(ang))
             p = poly.edge_midpoint(order[-1])
-            hit = self._ray_exit(poly, p, d, skip=order)
+            hit = _exit(poly, p, d, skip=order[-1])[0]
             assert hit % 2 == cls, f"zigzag ray left the forward class at {hit}"
             order.append(hit)
         return order
-
-    @staticmethod
-    def _ray_exit(poly, p, d, skip=()):
-        """Edge index where the ray p + t*d leaves the polygon."""
-        best, best_t = None, None
-        for i in range(2 * poly.n):
-            if poly.is_degenerate(i) or i in skip:
-                continue
-            (ax, ay), (bx, by) = poly.edge(i)
-            ex, ey = bx - ax, by - ay
-            den = d[0] * ey - d[1] * ex
-            if abs(den) < 1e-14:
-                continue
-            t = ((ax - p[0]) * ey - (ay - p[1]) * ex) / den
-            s = ((ax - p[0]) * d[1] - (ay - p[1]) * d[0]) / den
-            if t > 1e-12 and -1e-12 < s < 1 + 1e-12 and (best_t is None or t < best_t):
-                best, best_t = i, t
-        assert best is not None, "zigzag ray found no exit edge"
-        return best
 
     def _label_edges(self):
         sides = {}

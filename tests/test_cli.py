@@ -95,18 +95,31 @@ def test_trace_report_schema(tmp_path):
     assert len(data["word"]) == len(data["crossings"]) == 8
 
 
-@pytest.mark.parametrize("args", [
-    ("trace", "-m", "4", "-n", "3", "--theta", "pi/0"),
-    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "9:0,0"),
-    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "1:0,5"),
-    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--through", "99"),
-    ("subst", "-m", "4", "-n", "3", "-i", "1", "-j", "1", "--word", "r1,zz"),
+@pytest.mark.parametrize("args, message", [
+    (("trace", "-m", "4", "-n", "3", "--theta", "pi/0"), "divides by zero"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "9:0,0"),
+     "is not inside polygon"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "1:0,5"),
+     "is not inside polygon"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--through", "99"),
+     "is not a label"),
+    (("subst", "-m", "4", "-n", "3", "-i", "1", "-j", "1", "--word", "r1,zz"),
+     "unknown arrow names"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--crossings", "-5"),
+     "--crossings must be at least 1"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--crossings", "0"),
+     "--crossings must be at least 1"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "nan"), "is not finite"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "inf"), "is not finite"),
+    (("farey", "-m", "4", "-n", "3", "--theta", "inf*pi/3"), "is not finite"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
-        "no-such-side", "unknown-arrow"])
-def test_bad_arguments_are_usage_errors(args):
+        "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
+        "nan-angle", "inf-angle", "farey-inf-angle"])
+def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
+    assert message in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
 
 

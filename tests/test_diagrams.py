@@ -1,6 +1,8 @@
 """Transition diagrams, sector permutations, and the arrow alphabet."""
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from bouwmoller.cli import GOLDEN_D0_LABELS, GOLDEN_GRIDS, GOLDEN_PERMS
 from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
                                  arrow_alphabet, build_D0, build_T0,
                                  build_Ti, sector_permutation, t0_grid)
+from bouwmoller.surface import build_surface
+from bouwmoller.tracer import VertexHit, sector_of, start_through, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 
@@ -68,6 +72,38 @@ def test_permuted_grid_rows_are_the_sector_grid():
             perm = sector_permutation(m, n, i)
             want = tuple(tuple(perm[x] for x in row) for row in base)
             assert build_Ti(m, n, i).grid == want
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (2, 6), (3, 7), (4, 7), (7, 3),
+                                  (4, 4), (6, 4)])
+def test_traced_words_are_admissible_in_their_sector(m, n):
+    # Geometry against combinatorics: a traced cutting sequence must be a
+    # path in the transition diagram that sector_permutation builds for the
+    # sector of its direction.  On m >= 3 most windows are admitted by their
+    # own sector alone, so a permutation built for the wrong sector fails.
+    surf = build_surface(m, n)
+    rng = random.Random(f"admissible:{m}:{n}")
+    checked = exact = 0
+    while checked < 30:
+        theta = rng.uniform(0, 2 * math.pi)
+        sector, near_boundary = sector_of(theta, n, tol=1e-6)
+        if near_boundary:
+            continue
+        try:
+            sector_permutation(m, n, sector % n)
+        except ValueError:
+            continue  # no reflecting normalization
+        label = rng.choice(list(surf.labels))
+        try:
+            word = trace(surf, start_through(surf, label, theta), theta, 200).labels
+        except VertexHit:
+            continue
+        sectors = admissible_in(m, n, word)
+        assert sector in sectors
+        checked += 1
+        exact += sectors == {sector}
+    if m >= 3:
+        assert exact > 0
 
 
 def test_admissibility_detects_sector_and_reversal():

@@ -24,6 +24,8 @@ def test_rejects_too_small_parameters():
         build_surface(1, 3)
     with pytest.raises(NonPositiveShape):
         build_surface(4, 1)
+    with pytest.raises(NonPositiveShape):
+        build_surface(4, 2)
 
 
 def test_side_count_and_rows():
