@@ -133,7 +133,10 @@ def generate(m, n, i, word):
     if len(word) < 2:
         raise ValueError("generation needs at least two letters")
     perm = sector_permutation(n, m, i)
-    w = [perm[x] for x in word]
+    try:
+        w = [perm[x] for x in word]
+    except KeyError as exc:
+        raise NotAdmissible(f"{exc.args[0]} is not a side of M({n},{m})") from None
     gd = generation_diagram(n, m, i)
     arrows = []
     for a, b in zip(w, w[1:]):

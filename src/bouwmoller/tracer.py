@@ -3,6 +3,12 @@
 import math
 
 EPS_GEO = 1e-9
+# A side is parallel to a direction d when |d x v| <= EXIT_TOL for its edge
+# vector v.  Over 2 <= m <= 11, 3 <= n <= 11 and the directions j*pi/(2n),
+# parallel seats give at most 1.03e-15 and transverse ones at least 0.040.
+EXIT_TOL = 1e-12
+# How far behind its side, along the direction, a start point is placed.
+BACK = 1e-7
 
 
 class VertexHit(Exception):
@@ -107,6 +113,19 @@ def trace(surf, start, direction, max_crossings):
     return CuttingWord(labels, crossings, direction, start)
 
 
+def _exit_seat(surf, label, d):
+    """Seat (polygon, edge) of side label that direction d leaves through.
+
+    Edges run counterclockwise, so that is the seat whose edge vector v has
+    d x v > EXIT_TOL; None when d is parallel to the side.
+    """
+    for k, e in surf.seats(label):
+        vx, vy = surf.polygons[k].edge_vector(e)
+        if d[0] * vy - d[1] * vx > EXIT_TOL:
+            return k, e
+    return None
+
+
 def _cylinder(surf, word, direction):
     """Start just behind word[0] whose trajectory crosses exactly word.
 
@@ -115,69 +134,60 @@ def _cylinder(surf, word, direction):
     in order form one interval.  It is carried through the word in the
     transverse coordinate h(p) = d x p, which the flow along d keeps and a
     gluing translation shifts: in each polygon the interval is clipped to
-    the h-range of the side the trajectory leaves by.  Returns None when
-    the interval is empty, so that no trajectory has this cutting word;
+    the h-range of the seat the trajectory leaves by, which must be the
+    exit seat of the letter in that polygon.  Returns None when the
+    interval is empty, so that no trajectory has this cutting word;
     otherwise (start, width), the start behind the interval's midpoint and
     the final interval's width as a fraction of the last side's length.
     """
     d = (math.cos(direction), math.sin(direction))
-    seat_of = {(k, label): e for (k, e), label in surf.seat_label.items()}
 
     def h(p):
         return d[0] * p[1] - d[1] * p[0]
 
-    def exit_range(k, e):
-        # h-range of edge e of polygon k, or None if d does not leave there
-        a, b = surf.polygons[k].edge(e)
-        lo, hi = h(a), h(b)
-        return (lo, hi) if hi > lo else None
-
-    for k0, e0 in surf.seats(word[0]):
-        span = exit_range(k0, e0)
-        if span is not None:
-            break
-    else:
+    seat = _exit_seat(surf, word[0], d)
+    if seat is None:
         return None
-    lo, hi = first = span
-    (k, _), shift = surf.glue(k0, e0)
-    offset = h(shift)  # h in the current polygon minus h in polygon k0
-    for label in word[1:]:
-        e = seat_of.get((k, label))
-        span = None if e is None else exit_range(k, e)
-        if span is None:
+    k0 = k = seat[0]
+    a0, b0 = surf.polygons[k0].edge(seat[1])
+    lo, hi = -math.inf, math.inf
+    offset = 0.0  # h in the current polygon minus h in polygon k0
+    for label in word:
+        seat = _exit_seat(surf, label, d)
+        if seat is None or seat[0] != k:
             return None
-        lo, hi = max(lo, span[0] - offset), min(hi, span[1] - offset)
+        a, b = surf.polygons[k].edge(seat[1])
+        lo, hi = max(lo, h(a) - offset), min(hi, h(b) - offset)
         if hi <= lo:
             return None
-        (k, _), shift = surf.glue(k, e)
+        (k, _), shift = surf.glue(*seat)
         offset += h(shift)
-    width = (hi - lo) / (span[1] - span[0])
-    a, b = surf.polygons[k0].edge(e0)
-    s = ((lo + hi) / 2 - first[0]) / (first[1] - first[0])
-    back = 1e-7
-    start = (a[0] + s * (b[0] - a[0]) - back * d[0],
-             a[1] + s * (b[1] - a[1]) - back * d[1])
+    width = (hi - lo) / (h(b) - h(a))
+    s = ((lo + hi) / 2 - h(a0)) / (h(b0) - h(a0))
+    start = (a0[0] + s * (b0[0] - a0[0]) - BACK * d[0],
+             a0[1] + s * (b0[1] - a0[1]) - BACK * d[1])
     return (k0, start), width
 
 
 def start_through(surf, label, direction):
     """Start (polygon, point) just behind the side so the first crossing is it."""
     d = (math.cos(direction), math.sin(direction))
-    for k, e in surf.seats(label):
-        vx, vy = surf.polygons[k].edge_vector(e)
-        if d[0] * vy - d[1] * vx > 1e-12:  # d exits through this seat
-            mx, my = surf.polygons[k].edge_midpoint(e)
-            back = 1e-7
-            return k, (mx - back * d[0], my - back * d[1])
-    raise VertexHit(f"direction {direction} is parallel to side {label}")
+    seat = _exit_seat(surf, label, d)
+    if seat is None:
+        raise VertexHit(f"direction {direction} is parallel to side {label}")
+    k, e = seat
+    mx, my = surf.polygons[k].edge_midpoint(e)
+    return k, (mx - BACK * d[0], my - BACK * d[1])
 
 
 def realize_periodic(m, n, n1, n2):
     """Periodic direction and start whose cutting sequence is (n1 n2)-repeating.
 
     The pair must sit in adjacent same-row slots of some transition diagram
-    T_i; the trajectory follows the core of the cylinder through their
-    shared Hooper node.  Raises NotCoAdjacent otherwise.
+    T_i that has a reflecting normalization; the trajectory follows the
+    core of the cylinder through their shared Hooper node.  Raises
+    NotCoAdjacent otherwise, and VertexHit if no trajectory in that
+    direction crosses n1, n2, n1, ... .
     """
     from . import diagrams
     from .surface import build_surface
@@ -187,7 +197,10 @@ def realize_periodic(m, n, n1, n2):
         raise NotCoAdjacent(f"sides {n1}, {n2} lie in different rows")
     found = None
     for i in range(n):
-        perm = diagrams.sector_permutation(m, n, i)
+        try:
+            perm = diagrams.sector_permutation(m, n, i)
+        except ValueError:
+            continue
         u1, u2 = perm[n1], perm[n2]
         r = surf.row(u1)
         grid_row = diagrams.t0_grid(m, n)[r - 1]
@@ -204,25 +217,12 @@ def realize_periodic(m, n, n1, n2):
     # two boundary directions.
     base = 0.0 if white else math.pi / n
     theta = base if i == 0 else (i + 1) * math.pi / n - base
-    d = (math.cos(theta), math.sin(theta))
-    # start just behind whichever of the two sides the direction crosses
-    # transversally; the core of the cylinder through their shared node
-    # then alternates between them.
+    # start at the midpoint of the cylinder interval of n1 n2 n1 n2 ...,
+    # on the core of the cylinder through the shared node
     period = 40
-    for trial in range(12):
-        frac = 0.37 + 0.05 * trial
-        for label in (n1, n2):
-            for k, e in surf.seats(label):
-                a, b = surf.polygons[k].edge(e)
-                vx, vy = b[0] - a[0], b[1] - a[1]
-                if d[0] * vy - d[1] * vx <= 1e-9:  # d does not exit here
-                    continue
-                pt = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-                back = 1e-7
-                start = (k, (pt[0] - back * d[0], pt[1] - back * d[1]))
-                try:
-                    word = trace(surf, start, theta, period)
-                except VertexHit:
-                    continue
-                return theta, start, word
-    raise VertexHit(f"no vertex-free core trajectory found for ({n1}, {n2})")
+    core = _cylinder(surf, [n1, n2] * (period // 2), theta)
+    if core is None:
+        raise VertexHit(f"no trajectory in direction {theta} crosses "
+                        f"{n1}, {n2} in turn")
+    start = core[0]
+    return theta, start, trace(surf, start, theta, period)

@@ -112,9 +112,16 @@ def test_trace_report_schema(tmp_path):
     (("trace", "-m", "4", "-n", "3", "--theta", "nan"), "is not finite"),
     (("trace", "-m", "4", "-n", "3", "--theta", "inf"), "is not finite"),
     (("farey", "-m", "4", "-n", "3", "--theta", "inf*pi/3"), "is not finite"),
+    (("generate", "-m", "4", "-n", "3", "-i", "1", "--word", "1,9"),
+     "9 is not a side of M(3,4)"),
+    (("verify", "-m", "4", "-n", "3", "--trials", "0"),
+     "trials must be at least 1"),
+    (("verify", "-m", "4", "-n", "3", "--trials", "-1"),
+     "trials must be at least 1"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
-        "nan-angle", "inf-angle", "farey-inf-angle"])
+        "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
+        "verify-zero-trials", "verify-negative-trials"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2

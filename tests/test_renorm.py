@@ -27,6 +27,11 @@ def test_derive_rejects_bad_input():
         derive(4, 3, [1, 1])
 
 
+def test_generate_rejects_unknown_sides():
+    with pytest.raises(NotAdmissible, match="9 is not a side of M\\(3,4\\)"):
+        generate(4, 3, 1, [1, 9])
+
+
 def test_normalize():
     assert normalize(3, 4, [4, 3, 4, 7, 6]) == (3, [3, 4, 3, 6, 7])
     assert normalize(4, 3, [1, 6, 7, 8]) == (0, [1, 6, 7, 8])

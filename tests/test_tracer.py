@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouwmoller.diagrams import admissible_in
+from bouwmoller.diagrams import admissible_in, build_Ti
 from bouwmoller.renorm import derive, fixed_point_form, normalize
 from bouwmoller.surface import build_surface
 from bouwmoller.tracer import (NotCoAdjacent, VertexHit, _cylinder,
@@ -86,9 +86,16 @@ def test_traced_words_are_admissible_in_the_direction_sector():
 
 
 def test_start_through_rejects_parallel_directions():
-    surf = build_surface(4, 3)
-    with pytest.raises(VertexHit):
-        start_through(surf, 1, math.pi / 3)
+    # along its own side, in either orientation, no trajectory starts
+    # through that side or crosses it
+    for m, n in ((4, 3), (3, 4)):
+        surf = build_surface(m, n)
+        for label in surf.labels:
+            for turn in (0.0, math.pi):
+                theta = surf.sides[label].direction + turn
+                with pytest.raises(VertexHit):
+                    start_through(surf, label, theta)
+                assert _cylinder(surf, [label], theta) is None
 
 
 def test_periodic_pair_realization():
@@ -101,6 +108,31 @@ def test_periodic_pair_realization():
     image = derive(4, 3, u, cyclic=True)
     assert len(image) == len(w)
     assert fixed_point_form(image)
+
+
+def _adjacent_pairs(m, n):
+    # same-row pairs adjacent in some T_i that has a reflecting normalization
+    pairs = set()
+    for i in range(n):
+        try:
+            grid = build_Ti(m, n, i).grid
+        except ValueError:
+            continue
+        for row in grid:
+            pairs.update(zip(row, row[1:]))
+            pairs.update(zip(row[1:], row))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (4, 7), (2, 4), (4, 4), (4, 6)])
+def test_every_adjacent_pair_is_realized(m, n):
+    pairs = _adjacent_pairs(m, n)
+    assert pairs
+    for n1, n2 in pairs:
+        theta, start, word = realize_periodic(m, n, n1, n2)
+        w = list(word.labels)
+        assert len(w) == 40
+        assert w[0::2] == [n1] * 20 and w[1::2] == [n2] * 20
 
 
 def test_periodic_pair_requires_adjacency():
