@@ -169,9 +169,17 @@ def _parse_angle(text):
 
 
 def _parse_start(text):
+    usage = (f"--start must be K:X,Y with an integer polygon K and finite "
+             f"X, Y, got {text!r}")
     poly, _, xy = text.partition(":")
-    x, y = (float(v) for v in xy.split(","))
-    return int(poly), (x, y)
+    try:
+        x, y = (float(v) for v in xy.split(","))
+        k = int(poly)
+    except ValueError:
+        raise SystemExit2(usage) from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SystemExit2(usage)
+    return k, (x, y)
 
 
 def _rng(seed, *tags):
@@ -766,9 +774,14 @@ def cmd_recognize(args):
     _require_renorm_params(args.m, args.n)
     m, n = args.m, args.n
     if args.itinerary:
-        flat = [int(t) for t in args.itinerary.split(",")]
+        usage = ("--itinerary must be integers b0,a1,b1[,a2,b2...], "
+                 f"got {args.itinerary!r}")
+        try:
+            flat = [int(t) for t in args.itinerary.split(",")]
+        except ValueError:
+            raise SystemExit2(usage) from None
         if len(flat) < 3 or len(flat) % 2 == 0:
-            raise SystemExit2("itinerary must be b0,a1,b1[,a2,b2...]")
+            raise SystemExit2(usage)
         b0, rest = flat[0], flat[1:]
         pairs = list(zip(rest[0::2], rest[1::2]))
     elif args.word:

@@ -3,11 +3,11 @@
 import json
 import math
 
-from .tracer import _exit
+from .tracer import _candidates, _exit
 
 
 class NonPositiveShape(ValueError):
-    """Raised when a semi-regular polygon would have no positive side."""
+    """Raised when side lengths give no semi-regular polygon with a positive side."""
 
 
 def polygon_params(m, n, k):
@@ -45,7 +45,8 @@ class Polygon:
     """
 
     def __init__(self, n, a, b):
-        if a < 0 or b < 0 or (a == 0 and b == 0):
+        if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0 \
+                or (a == 0 and b == 0):
             raise NonPositiveShape(f"invalid side lengths a={a}, b={b}")
         self.n = n
         self.a = a
@@ -55,7 +56,9 @@ class Polygon:
             vx, vy = self.edge_vector(i)
             px, py = pts[-1]
             pts.append((px + vx, py + vy))
-        assert math.hypot(pts[-1][0], pts[-1][1]) < 1e-9 * (1 + a + b)
+        if math.hypot(pts[-1][0], pts[-1][1]) >= 1e-9 * (1 + a + b):
+            raise NonPositiveShape(f"side lengths a={a}, b={b} do not close "
+                                   f"a {2 * n}-gon")
         self.vertices = pts[:-1]
 
     def edge_length(self, i):
@@ -76,6 +79,18 @@ class Polygon:
     def is_degenerate(self, i):
         return self.edge_length(i) == 0
 
+    def edge_rows(self):
+        """(i, ax, ay, ex, ey, bx, by) per non-degenerate edge i from a to b.
+
+        e = b - a, so ex and ey are computed from the vertices.
+        """
+        rows = []
+        for i in range(2 * self.n):
+            if not self.is_degenerate(i):
+                (ax, ay), (bx, by) = self.edge(i)
+                rows.append((i, ax, ay, bx - ax, by - ay, bx, by))
+        return rows
+
     def translate(self, dx, dy):
         self.vertices = [(x + dx, y + dy) for x, y in self.vertices]
 
@@ -87,11 +102,8 @@ class Polygon:
     def contains(self, p, tol=0.0):
         """True if p lies in the (closed, convex) polygon with slack tol."""
         x, y = p
-        for i in range(2 * self.n):
-            if self.is_degenerate(i):
-                continue
-            (ax, ay), (bx, by) = self.edge(i)
-            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < -tol:
+        for _, ax, ay, ex, ey, _, _ in self.edge_rows():
+            if ex * (y - ay) - ey * (x - ax) < -tol:
                 return False
         return True
 
@@ -115,6 +127,10 @@ class Surface:
     Sides are labeled 1..n(m-1); the sides between polygons r-1 and r form
     row r and are numbered in the zigzag order induced by rays alternating
     between directions pi and pi/n from side midpoints.
+
+    The tracing geometry is built once: edge_table[k] holds
+    polygon k's edge_rows(), and glue_table[k][e] is (label, k2, e2, sx, sy)
+    for the seat (k, e), glued to seat (k2, e2) by the translation (sx, sy).
     """
 
     def __init__(self, m, n):
@@ -128,11 +144,18 @@ class Surface:
             x0, y0, x1, _ = poly.bounds()
             poly.translate(x - x0, -y0)
             x += x1 - x0
+        self.edge_table = [poly.edge_rows() for poly in self.polygons]
         self.sides = self._label_edges()
         self.seat_label = {}
+        self.glue_table = [[None] * (2 * n) for _ in range(m)]
         for side in self.sides.values():
-            for seat in side.seats:
-                self.seat_label[seat] = side.label
+            s1, s2 = side.seats
+            for (k, e), (k2, e2) in ((s1, s2), (s2, s1)):
+                self.seat_label[(k, e)] = side.label
+                b = self.polygons[k].edge(e)[1]
+                a2 = self.polygons[k2].edge(e2)[0]
+                self.glue_table[k][e] = (side.label, k2, e2,
+                                         a2[0] - b[0], a2[1] - b[1])
 
     def _zigzag(self, k):
         """Edge indices of polygon k's forward sides in zigzag label order."""
@@ -144,8 +167,11 @@ class Surface:
             ang = rays[j % 2]
             d = (math.cos(ang), math.sin(ang))
             p = poly.edge_midpoint(order[-1])
-            hit = _exit(poly, p, d, skip=order[-1])[0]
-            assert hit % 2 == cls, f"zigzag ray left the forward class at {hit}"
+            hit = _exit(_candidates(self.edge_table[k], d), p, d,
+                        skip=order[-1])[0]
+            if hit % 2 != cls:
+                raise RuntimeError(f"zigzag ray of polygon {k} left the "
+                                   f"forward class at edge {hit}")
             order.append(hit)
         return order
 
@@ -157,7 +183,9 @@ class Surface:
             for j, e in enumerate(order):
                 label = (r - 1) * self.n + j + 1
                 partner = (e + self.n) % (2 * self.n)
-                assert not self.polygons[k + 1].is_degenerate(partner)
+                if self.polygons[k + 1].is_degenerate(partner):
+                    raise RuntimeError(f"side {label} is glued to degenerate "
+                                       f"edge {partner} of polygon {k + 1}")
                 ang = (e * math.pi / self.n) % math.pi
                 sides[label] = Side(label, r, [(k, e), (k + 1, partner)],
                                     self.polygons[k].edge_length(e), ang)
@@ -175,12 +203,10 @@ class Surface:
 
     def glue(self, k, e):
         """Image seat and translation for crossing edge e of polygon k."""
-        label = self.seat_label[(k, e)]
-        s1, s2 = self.sides[label].seats
-        (k2, e2) = s2 if (k, e) == s1 else s1
-        b = self.polygons[k].edge(e)[1]
-        a2 = self.polygons[k2].edge(e2)[0]
-        return (k2, e2), (a2[0] - b[0], a2[1] - b[1])
+        if (k, e) not in self.seat_label:
+            raise KeyError((k, e))
+        _, k2, e2, sx, sy = self.glue_table[k][e]
+        return (k2, e2), (sx, sy)
 
     def to_json(self, indent=None):
         data = {

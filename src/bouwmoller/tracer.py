@@ -3,6 +3,8 @@
 import math
 
 EPS_GEO = 1e-9
+# An exit must lie this far ahead of the ray's start along the direction.
+T_MIN = EPS_GEO * 1e-3
 # A side is parallel to a direction d when |d x v| <= EXIT_TOL for its edge
 # vector v.  Over 2 <= m <= 11, 3 <= n <= 11 and the directions j*pi/(2n),
 # parallel seats give at most 1.03e-15 and transverse ones at least 0.040.
@@ -21,6 +23,8 @@ class NotCoAdjacent(ValueError):
 
 class Crossing:
     """One side crossing: label, polygon left behind, hit point, ray parameter."""
+
+    __slots__ = ("label", "polygon", "point", "t")
 
     def __init__(self, label, polygon, point, t):
         self.label = label
@@ -64,30 +68,44 @@ def sector_of(direction, n, tol=1e-12):
     return int(math.floor(q)) % (2 * n), False
 
 
-def _exit(poly, p, d, skip=-1):
-    """Exit edge, ray parameter and hit point leaving poly from p along d."""
-    best = None
-    for i in range(2 * poly.n):
-        if i == skip or poly.is_degenerate(i):
-            continue
-        (ax, ay), (bx, by) = poly.edge(i)
-        ex, ey = bx - ax, by - ay
+def _candidates(edges, d):
+    """Rows of one polygon's edge table not parallel to d, with den = d x e."""
+    out = []
+    for i, ax, ay, ex, ey, bx, by in edges:
         den = d[0] * ey - d[1] * ex
-        if abs(den) < 1e-15:
+        if abs(den) >= 1e-15:
+            out.append((i, ax, ay, ex, ey, bx, by, den))
+    return out
+
+
+def _exit(candidates, p, d, skip):
+    """Exit edge, ray parameter and hit point leaving a polygon from p along d.
+
+    candidates is _candidates(edges, d) for the polygon's edge table; the
+    edge with index skip (the one entered through, or -1) is passed over.
+    The first edge with the least t > T_MIN whose hit lies on the edge
+    (-1e-9 <= s <= 1 + 1e-9) wins; s is only computed for a t that would
+    become the least.
+    """
+    px, py = p
+    dx, dy = d
+    best, best_t = None, math.inf
+    for i, ax, ay, ex, ey, bx, by, den in candidates:
+        if i == skip:
             continue
-        t = ((ax - p[0]) * ey - (ay - p[1]) * ex) / den
-        s = ((ax - p[0]) * d[1] - (ay - p[1]) * d[0]) / den
-        if t > EPS_GEO * 1e-3 and -1e-9 <= s <= 1 + 1e-9 and (best is None or t < best[1]):
-            best = (i, t, s)
+        t = ((ax - px) * ey - (ay - py) * ex) / den
+        if T_MIN < t < best_t:
+            s = ((ax - px) * dy - (ay - py) * dx) / den
+            if -1e-9 <= s <= 1 + 1e-9:
+                best, best_t = (i, ax, ay, bx, by), t
     if best is None:
         raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-    i, t, s = best
-    a, b = poly.edge(i)
-    q = (p[0] + t * d[0], p[1] + t * d[1])
-    if (math.hypot(q[0] - a[0], q[1] - a[1]) < EPS_GEO
-            or math.hypot(q[0] - b[0], q[1] - b[1]) < EPS_GEO):
+    i, ax, ay, bx, by = best
+    q = (px + best_t * dx, py + best_t * dy)
+    if (math.hypot(q[0] - ax, q[1] - ay) < EPS_GEO
+            or math.hypot(q[0] - bx, q[1] - by) < EPS_GEO):
         raise VertexHit(f"hit vertex of edge {i} at {q}")
-    return i, t, q
+    return i, best_t, q
 
 
 def trace(surf, start, direction, max_crossings):
@@ -99,17 +117,18 @@ def trace(surf, start, direction, max_crossings):
     """
     k, p = start
     d = (math.cos(direction), math.sin(direction))
+    candidates = [_candidates(edges, d) for edges in surf.edge_table]
+    glue = surf.glue_table
     labels, crossings = [], []
     t_acc = 0.0
     entry = -1
     for _ in range(max_crossings):
-        e, t, q = _exit(surf.polygons[k], p, d, skip=entry)
+        e, t, q = _exit(candidates[k], p, d, entry)
         t_acc += t
-        label = surf.seat_label[(k, e)]
+        label, k2, entry, sx, sy = glue[k][e]
         labels.append(label)
         crossings.append(Crossing(label, k, q, t_acc))
-        (k, entry), shift = surf.glue(k, e)
-        p = (q[0] + shift[0], q[1] + shift[1])
+        k, p = k2, (q[0] + sx, q[1] + sy)
     return CuttingWord(labels, crossings, direction, start)
 
 

@@ -118,10 +118,17 @@ def test_trace_report_schema(tmp_path):
      "trials must be at least 1"),
     (("verify", "-m", "4", "-n", "3", "--trials", "-1"),
      "trials must be at least 1"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "1:0"),
+     "--start must be K:X,Y"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", "1:nan,0"),
+     "--start must be K:X,Y"),
+    (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,a,b"),
+     "--itinerary must be integers b0,a1,b1[,a2,b2...]"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
-        "verify-zero-trials", "verify-negative-trials"])
+        "verify-zero-trials", "verify-negative-trials", "start-without-y",
+        "start-not-finite", "itinerary-not-integers"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2

@@ -2,11 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouwmoller.surface import (NonPositiveShape, build_surface,
+from bouwmoller import surface
+from bouwmoller.surface import (NonPositiveShape, Polygon, build_surface,
                                 polygon_params, side_length_scale)
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
@@ -26,6 +29,45 @@ def test_rejects_too_small_parameters():
         build_surface(4, 1)
     with pytest.raises(NonPositiveShape):
         build_surface(4, 2)
+
+
+@pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (1.0, float("inf")),
+                                  (-float("inf"), 1.0)])
+def test_polygon_rejects_non_finite_sides(a, b):
+    with pytest.raises(NonPositiveShape, match="invalid side lengths"):
+        Polygon(3, a, b)
+
+
+def test_polygon_rejects_sides_that_do_not_close():
+    # a 2-gon closes only with equal sides
+    with pytest.raises(NonPositiveShape, match="do not close"):
+        Polygon(1, 1.0, 2.0)
+
+
+def test_shape_checks_survive_optimized_mode():
+    code = ("from bouwmoller.surface import Polygon, NonPositiveShape\n"
+            "try:\n    Polygon(3, float('nan'), 1.0)\n"
+            "except NonPositiveShape as exc:\n    print('rejected', exc)\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("rejected invalid side lengths")
+
+
+def test_labelling_invariants_raise(monkeypatch):
+    real_params, real_exit = surface.polygon_params, surface._exit
+    # the last polygon with its side classes swapped: its back sides vanish
+    monkeypatch.setattr(surface, "polygon_params", lambda m, n, k:
+                        real_params(m, n, k)[::-1] if k == m - 1
+                        else real_params(m, n, k))
+    with pytest.raises(RuntimeError, match="glued to degenerate edge"):
+        build_surface(3, 4)
+    monkeypatch.setattr(surface, "polygon_params", real_params)
+    # a zigzag ray that lands on the wrong edge class
+    monkeypatch.setattr(surface, "_exit", lambda *args, **kwargs:
+                        (real_exit(*args, **kwargs)[0] + 1,))
+    with pytest.raises(RuntimeError, match="left the forward class"):
+        build_surface(3, 4)
 
 
 def test_side_count_and_rows():
