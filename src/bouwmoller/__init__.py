@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .surface import NonPositiveShape, Polygon, Surface, build_surface
 from .hooper import (HooperDiagram, OrthogonalPresentation, build_hooper,
-                     derivation_arrows, enumerate_hats, hat, hat_case,
-                     heights, moduli, rectangle, widths)
+                     heights, moduli, widths)
 from .diagrams import (ArrowAlphabet, DerivationDiagram, NotAdmissible,
                        NotChained, TransitionDiagram, admissible_in,
                        arrow_alphabet, build_D0, build_T0, build_Ti,
@@ -25,16 +24,14 @@ __all__ = [
     "ArrowAlphabet", "BoundaryOrbit", "Crossing", "CuttingWord",
     "DerivationDiagram", "DomainError", "HooperDiagram", "Itinerary",
     "NoConvergence", "NonPositiveShape", "NotAdmissible", "NotChained",
-    "NotCoAdjacent", "OrthogonalPresentation", "PathMissing",
-    "PathNotUnique", "Polygon", "Surface", "TransitionDiagram", "VertexHit",
-    "admissible_in", "arrow_alphabet", "build_D0", "build_T0", "build_Ti",
-    "build_hooper", "build_surface", "derivation_arrows",
-    "derivative_sequence", "derive", "direction_from_itinerary",
-    "enumerate_hats", "farey_F", "farey_FF", "farey_F_cot", "ff_branches",
-    "fixed_point_form", "gamma", "gamma_factors", "generate",
-    "generation_diagram", "hat", "hat_case", "heights", "itinerary",
-    "moduli", "normalize", "pseudo_substitution", "realize_periodic",
-    "rectangle", "reflection", "sector_of", "sector_permutation",
-    "start_through", "subsectors", "substitution", "t0_grid",
-    "tr_operator", "tr_operator_inverse", "trace", "widths",
+    "NotCoAdjacent", "OrthogonalPresentation", "PathMissing", "PathNotUnique",
+    "Polygon", "Surface", "TransitionDiagram", "VertexHit", "admissible_in",
+    "arrow_alphabet", "build_D0", "build_T0", "build_Ti", "build_hooper",
+    "build_surface", "derivative_sequence", "derive",
+    "direction_from_itinerary", "farey_F", "farey_FF", "farey_F_cot",
+    "ff_branches", "fixed_point_form", "gamma", "gamma_factors", "generate",
+    "generation_diagram", "heights", "itinerary", "moduli", "normalize",
+    "pseudo_substitution", "realize_periodic", "reflection", "sector_of",
+    "sector_permutation", "start_through", "subsectors", "substitution",
+    "t0_grid", "tr_operator", "tr_operator_inverse", "trace", "widths",
 ]

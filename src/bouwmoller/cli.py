@@ -809,6 +809,9 @@ def cmd_verify(args):
         raise SystemExit2("verify needs -m/-n or --all-small")
     for (m, n) in surfaces:
         _require_renorm_params(m, n)
+        if m % 2 == 0 and n % 2 == 0:
+            raise SystemExit2(
+                f"verify does not support m and n both even, got ({m}, {n})")
     report = run_verification(surfaces, seed=args.seed, trials=args.trials)
     text = _dumps(report, indent=2)
     if args.out:

@@ -241,8 +241,11 @@ class ArrowAlphabet:
                     self.arrow_of_name[f"v{k}"] = (grid[r + 1][c], grid[r][c])
                 k += 1
         self.name_of_arrow = {a: s for s, a in self.arrow_of_name.items()}
-        assert len(self.name_of_arrow) == len(self.arrow_of_name)
-        assert len(self.arrow_of_name) == 3 * m * n - 2 * m - 4 * n + 2
+        if len(self.name_of_arrow) != len(self.arrow_of_name):
+            raise RuntimeError(f"two arrow names share an arrow in M({m},{n})")
+        if len(self.arrow_of_name) != 3 * m * n - 2 * m - 4 * n + 2:
+            raise RuntimeError(f"wrong arrow count {len(self.arrow_of_name)} "
+                               f"for M({m},{n})")
 
     @property
     def names(self):

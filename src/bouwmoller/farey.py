@@ -198,7 +198,8 @@ def itinerary(m, n, theta, k):
     if on_boundary:
         raise BoundaryOrbit(f"direction {theta} on a sector boundary")
     v = np.array([math.cos(theta), math.sin(theta)])
-    v = _upper(reflection(m, n, b0) @ v)
+    # Sector n is sector 0 traversed backwards (see renorm.normalize).
+    v = _upper(reflection(m, n, 0 if b0 == n else b0) @ v)
     pairs = []
     for _ in range(k):
         a, v, bad = _f_step(m, n, v, EPS_DYN)
@@ -239,4 +240,6 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
     theta = (lo + hi) / 2
     if b0 == 0:
         return theta
+    if b0 == n:
+        return theta + math.pi
     return (b0 + 1) * math.pi / n - theta

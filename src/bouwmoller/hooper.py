@@ -3,9 +3,9 @@
 Interior nodes (i,j), 1 <= i <= m-1, 1 <= j <= n-1, are white when i+j is
 even (horizontal cylinders) and black otherwise.  Edges are H(i,J) between
 nodes (i,J-1)-(i,J) and V(I,j) between (I-1,j)-(I,j) over the augmented
-grid 0..m x 0..n; each edge not joining two boundary nodes carries a basic
-rectangle of the orthogonal presentation, whose diagonals realize one side
-of M(m,n) (H edges) or of the dual M(n,m) (V edges).
+grid 0..m x 0..n; each edge not joining two boundary nodes carries one of
+the basic rectangles of the orthogonal presentation, whose diagonals realize
+one side of M(m,n) (H edges) or of the dual M(n,m) (V edges).
 """
 
 import math
@@ -84,12 +84,12 @@ class HooperDiagram:
         return ring[(k + (1 if forward else -1)) % len(ring)]
 
     def east(self, e):
-        """Next rectangle to the east within e's horizontal cylinder."""
+        """Next edge east of e within its horizontal cylinder."""
         w = self.white_end(e)
         return self._step(e, w, forward=w[0] % 2 == 1)
 
     def north(self, e):
-        """Next rectangle to the north within e's transverse cylinder."""
+        """Next edge north of e within its transverse cylinder."""
         b = self.black_end(e)
         return self._step(e, b, forward=b[1] % 2 == 1)
 
@@ -138,79 +138,17 @@ def moduli(m, n):
     return {v: h[v] / (w[v] * math.sin(math.pi / n)) for v in h}
 
 
-def rectangle(m, n, e):
-    """(width, height) of the basic rectangle of an edge."""
-    g = build_hooper(m, n)
-    w = widths(m, n)
-    return w[g.black_end(e)], w[g.white_end(e)]
-
-
-def hat_case(m, n, e):
-    """1 nondegenerate, 2 zero width, 3 zero height, 4 completely degenerate."""
-    g = build_hooper(m, n)
-    black_deg = not g.is_interior(g.black_end(e))
-    white_deg = not g.is_interior(g.white_end(e))
-    return 1 + (2 if white_deg else 0) + (1 if black_deg else 0) \
-        if (black_deg or white_deg) else 1
-
-
-def hat(m, n, e):
-    """The six rectangles around a middle edge: a,b,c east, d,f north, e mixed."""
-    g = build_hooper(m, n)
-    a = e
-    b = g.east(a)
-    c = g.east(b)
-    d = g.north(a)
-    f = g.north(d)
-    mixed = g.north(b)
-    if hat_case(m, n, e) == 1 and g.east(d) != mixed:
-        raise MalformedDiagram(f"hat around {e}: N(E(a)) != E(N(a))")
-    return {"a": a, "b": b, "c": c, "d": d, "e": mixed, "f": f}
-
-
-def enumerate_hats(m, n):
-    """(middle edge, case, stair members) for every horizontal edge."""
-    g = build_hooper(m, n)
-    return [(e, hat_case(m, n, e), hat(m, n, e)) for e in g.h_edges]
-
-
-def derivation_arrows(m, n):
-    """D_0 arrows from the Hooper diagram: {(tail, head): dual label or None}.
-
-    Transitions between sides sharing an interior node go around it (two
-    steps of the east orbit at white nodes, of the north orbit at black
-    nodes) and cross the dual side between; the remaining transitions are
-    the corner cuts a -> N(E(a)), which cross no dual side.
-    """
-    g = build_hooper(m, n)
-    arrows = {}
-    for a in g.h_edges:
-        if g.label(a) is None:
-            continue
-        for node in g.endpoints(a):
-            if not g.is_interior(node):
-                continue
-            step = g.east if is_white(node) else g.north
-            mid = step(a)
-            head = step(mid)
-            if g.label(head) is None:
-                raise MalformedDiagram(f"two-step orbit of {a} left the labeled edges")
-            arrows[(g.label(a), g.label(head))] = g.label(mid)
-        mixed = g.north(g.east(a)) if g.is_interior(g.white_end(a)) \
-            else g.east(g.north(a))
-        if mixed[0] == "H" and g.label(mixed) is not None:
-            arrows[(g.label(a), g.label(mixed))] = None
-    return arrows
-
-
 class OrthogonalPresentation:
     """Straight-line tracing across the basic rectangles.
 
-    A state is (edge, x, y) inside that edge's rectangle.  Positive-slope
+    A state is (edge, x, y) with (x, y) in the box rect[edge].  Positive-slope
     motion exits east into east(edge) or north into north(edge); degenerate
-    rectangles are crossed instantaneously.  Each rectangle traversal
-    crosses its side diagonal once; a V rectangle traversal also crosses
-    the dual side diagonal when the corner-to-corner test changes sign.
+    boxes are crossed instantaneously.  Each traversal of a box crosses its
+    side diagonal once; a traversal of a V box also crosses the dual side
+    diagonal when the corner-to-corner test changes sign.
+    The dual labels recorded between the first and last side records are
+    the derivative of the side word, so this presentation checks
+    `renorm.derive` without the polygon tracer or `diagrams.build_D0`.
     """
 
     def __init__(self, m, n):
@@ -220,6 +158,7 @@ class OrthogonalPresentation:
         w = widths(m, n)
         self.rect = {e: (w[self.g.black_end(e)], w[self.g.white_end(e)])
                      for e in self.g.edges() if not self.g.is_completely_degenerate(e)}
+        self.east_north = {e: (self.g.east(e), self.g.north(e)) for e in self.rect}
 
     def trace(self, edge, x, y, slope, steps):
         """Crossing records ('side'|'dual', label) for `steps` rectangles."""
@@ -237,10 +176,11 @@ class OrthogonalPresentation:
                 else:
                     exit_east, x1, y1 = False, x + (h - y) / slope, h
             self._record(edge, x, y, x1, y1, out)
+            east, north = self.east_north[edge]
             if exit_east:
-                edge, x, y = self.g.east(edge), 0.0, y1
+                edge, x, y = east, 0.0, y1
             else:
-                edge, x, y = self.g.north(edge), x1, 0.0
+                edge, x, y = north, x1, 0.0
             if edge not in self.rect:
                 raise MalformedDiagram(f"trace left the rectangles at {edge}")
         return out

@@ -64,22 +64,24 @@ def derivative_sequence(m, n, word, k):
     its t-th derivative (over the alphabet of M(m,n) for t even, of M(n,m)
     for t odd); sectors[t] is the smallest admissible sector of words[t]
     before normalizing, so sectors reads (b_0, a_1, b_1, ...); ambiguous[t]
-    marks stages whose upward admissible sector was not unique.
+    marks stages whose admissible sector was not unique: among all 2n
+    sectors for the input word, whose direction may point anywhere, and
+    among the upward sectors for its derivatives.
     """
     cur = list(word)
     mm, nn = m, n
     words, sectors, ambiguous = [cur], [], []
-    for _ in range(k):
+    for t in range(k + 1):
         adm = admissible_in(mm, nn, cur)
-        ambiguous.append(len([s for s in adm if s < nn]) != 1)
+        ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
+        if t == k:
+            sectors.append(min(adm) if adm else None)
+            break
         i, u = normalize(mm, nn, cur)
         sectors.append(i)
         cur = derive(mm, nn, u)
         words.append(cur)
         mm, nn = nn, mm
-    adm = admissible_in(mm, nn, cur)
-    ambiguous.append(len([s for s in adm if s < nn]) != 1)
-    sectors.append(min(adm) if adm else None)
     return words, sectors, ambiguous
 
 
@@ -144,7 +146,8 @@ def generate(m, n, i, word):
             raise NotAdmissible(f"transition ({a}, {b}) not in T_{i} of M({n},{m})")
         arrows.append(gd[(a, b)])
     for (_, b1, _), (a2, _, _) in zip(arrows, arrows[1:]):
-        assert b1 == a2, "interpolating paths do not chain"
+        if b1 != a2:
+            raise RuntimeError("interpolating paths do not chain")
     out = [arrows[0][0][0]]
     for _, _, path in arrows:
         out.extend(path)

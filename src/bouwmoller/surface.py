@@ -102,6 +102,8 @@ class Polygon:
     def contains(self, p, tol=0.0):
         """True if p lies in the (closed, convex) polygon with slack tol."""
         x, y = p
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
         for _, ax, ay, ex, ey, _, _ in self.edge_rows():
             if ex * (y - ay) - ey * (x - ax) < -tol:
                 return False

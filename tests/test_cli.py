@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from bouwmoller import build_surface, start_through, trace
 from bouwmoller.cli import (_canon, _dumps, _parse_angle, _parse_start,
                             _parse_word, main, run_verification)
 
@@ -124,17 +125,31 @@ def test_trace_report_schema(tmp_path):
      "--start must be K:X,Y"),
     (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,a,b"),
      "--itinerary must be integers b0,a1,b1[,a2,b2...]"),
+    (("verify", "-m", "4", "-n", "4"),
+     "verify does not support m and n both even, got (4, 4)"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
         "verify-zero-trials", "verify-negative-trials", "start-without-y",
-        "start-not-finite", "itinerary-not-integers"])
+        "start-not-finite", "itinerary-not-integers", "verify-both-even"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
     assert message in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_recognize_a_sector_n_word():
+    # sector n of M(4,3) is sector 0 traversed backwards
+    theta = math.pi + 0.7
+    surf = build_surface(4, 3)
+    word = trace(surf, start_through(surf, 1, theta), theta, 2000).labels
+    r = run_cli("recognize", "-m", "4", "-n", "3", "--depth", "12",
+                "--tol", "1e-3", "--word", ",".join(map(str, word)))
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert abs(float(r.stdout) - theta) < 1e-3
 
 
 def test_verify_reports_are_byte_deterministic():

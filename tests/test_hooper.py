@@ -1,16 +1,18 @@
 """Hooper diagrams, cylinder data, and the orthogonal presentation."""
 
 import math
+import random
 
 import pytest
 
-from bouwmoller.diagrams import admissible_in, build_D0
-from bouwmoller.hooper import (OrthogonalPresentation, build_hooper,
-                               derivation_arrows, enumerate_hats, hat,
-                               hat_case, heights, is_white, moduli,
-                               rectangle, widths)
+from bouwmoller.diagrams import build_D0
+from bouwmoller.hooper import (OrthogonalPresentation, build_hooper, heights,
+                               is_white, moduli, widths)
+from bouwmoller.renorm import derive
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
+ORACLE_SURFACES = SMALL + [(4, 4), (3, 6), (2, 5), (6, 4), (5, 7), (7, 3),
+                           (3, 7), (2, 3), (8, 5)]
 
 
 def test_node_colors_alternate():
@@ -55,30 +57,6 @@ def test_moduli_constant_and_closed_form():
         assert abs(vals[0] - closed) < 1e-9
 
 
-def test_rectangle_sides_come_from_node_widths():
-    g = build_hooper(4, 3)
-    w = widths(4, 3)
-    for e in g.edges():
-        if g.is_completely_degenerate(e):
-            continue
-        rw, rh = rectangle(4, 3, e)
-        assert rw == w[g.black_end(e)]
-        assert rh == w[g.white_end(e)]
-
-
-def test_hats_commute_and_cover():
-    for m, n in SMALL:
-        g = build_hooper(m, n)
-        hats = enumerate_hats(m, n)
-        assert len(hats) == len(g.h_edges)
-        for e, case, members in hats:
-            assert case in (1, 2, 3, 4)
-            assert members["a"] == e
-            if case == 1:
-                assert g.east(members["d"]) == members["e"]
-                assert g.north(members["b"]) == members["e"]
-
-
 def test_orbit_steps_stay_in_the_diagram():
     g = build_hooper(4, 3)
     for e in g.edges():
@@ -91,29 +69,42 @@ def test_orbit_steps_stay_in_the_diagram():
             assert cur in g.edges()
 
 
-def test_derivation_arrows_match_the_transition_diagram():
-    for m, n in ((4, 3), (3, 4)):
-        arrows = derivation_arrows(m, n)
-        d0 = build_D0(m, n)
-        assert set(arrows) == set(d0.arrows)
-        for a, lab in arrows.items():
-            assert d0.arrow_labels.get(a) == lab
+def _orthogonal_windows(m, n, windows=40, rectangles=1000):
+    """Seeded orthogonal-presentation traces: one window per slope stratum
+    of [0.02, pi/2 - 0.02] in shuffled order, starting at a random point of
+    the non-degenerate boxes in turn."""
+    op = OrthogonalPresentation(m, n)
+    rng = random.Random(f"orthogonal:{m}:{n}")
+    starts = sorted(e for e, (w, h) in op.rect.items() if w > 0 and h > 0)
+    strata = list(range(windows))
+    rng.shuffle(strata)
+    lo, hi = 0.02, math.pi / 2 - 0.02
+    for k, stratum in enumerate(strata):
+        edge = starts[k % len(starts)]
+        w, h = op.rect[edge]
+        angle = lo + (hi - lo) * (stratum + rng.random()) / windows
+        yield op.trace(edge, rng.uniform(0, w), rng.uniform(0, h),
+                       math.tan(angle), rectangles)
 
 
-def test_orthogonal_presentation_traces_admissible_words():
-    op = OrthogonalPresentation(4, 3)
-    start = ("H", 1, 1)
-    records = op.trace(start, 0.01, 0.0, 0.83, 60)
-    word = [lab for kind, lab in records if kind == "side"]
-    assert len(word) > 10
-    assert 0 in admissible_in(4, 3, word)
-
-
-def test_orthogonal_presentation_interleaves_side_and_dual_labels():
-    op = OrthogonalPresentation(4, 3)
-    records = op.trace(("H", 1, 1), 0.02, 0.0, 1.27, 80)
-    kinds = [kind for kind, _ in records]
-    assert {"side", "dual"} == set(kinds)
-    # two sides of the same cylinder are always separated by one dual side
-    for prev, cur in zip(records, records[1:]):
-        assert not (prev[0] == "dual" and cur[0] == "dual")
+@pytest.mark.parametrize("m,n", ORACLE_SURFACES)
+def test_orthogonal_presentation_is_an_oracle_for_derivation(m, n):
+    """The orthogonal presentation crosses dual sides where derivation
+    puts them: (a) the dual records between the first and last side
+    records are derive() of the side word, and (b) the observed side
+    transitions, each with the dual label crossed between its two sides,
+    are exactly the arrows of D_0 with their labels."""
+    between = {}
+    for records in _orthogonal_windows(m, n):
+        sides = [t for t, (kind, _) in enumerate(records) if kind == "side"]
+        word = [records[t][1] for t in sides]
+        duals = [lab for kind, lab in records[sides[0]:sides[-1]]
+                 if kind == "dual"]
+        assert derive(m, n, word) == duals
+        for s, t in zip(sides, sides[1:]):
+            crossed = [lab for _, lab in records[s + 1:t]]
+            assert len(crossed) <= 1
+            between.setdefault((records[s][1], records[t][1]), set()).add(
+                crossed[0] if crossed else None)
+    d0 = build_D0(m, n)
+    assert between == {x: {d0.arrow_labels.get(x)} for x in d0.arrows}

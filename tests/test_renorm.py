@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bouwmoller import renorm
 from bouwmoller.cli import (GOLDEN_PSUB, GOLDEN_SIGMA11_43, _contains,
                             _random_t0_word)
 from bouwmoller.diagrams import NotAdmissible, NotChained, admissible_in
@@ -30,6 +31,14 @@ def test_derive_rejects_bad_input():
 def test_generate_rejects_unknown_sides():
     with pytest.raises(NotAdmissible, match="9 is not a side of M\\(3,4\\)"):
         generate(4, 3, 1, [1, 9])
+
+
+def test_generate_checks_that_paths_chain(monkeypatch):
+    real = renorm.generation_diagram(3, 4, 1)
+    broken = {x: ((0, 0), b, path) for x, (_, b, path) in real.items()}
+    monkeypatch.setattr(renorm, "generation_diagram", lambda m, n, i: broken)
+    with pytest.raises(RuntimeError, match="interpolating paths do not chain"):
+        generate(4, 3, 1, [1, 2, 3, 4])
 
 
 def test_normalize():

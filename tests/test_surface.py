@@ -127,6 +127,8 @@ def test_strict_interior_containment():
             assert poly.contains((cx, cy), tol=-1e-6)
             x0, y0, x1, y1 = poly.bounds()
             assert not poly.contains((x0 - 1.0, y0 - 1.0))
+            for bad in ((math.nan, cy), (cx, math.inf), (-math.inf, math.nan)):
+                assert not poly.contains(bad, tol=1.0)
 
 
 def test_polygons_chain_left_to_right():
