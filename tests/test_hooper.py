@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bouwmoller.diagrams import build_D0
+from bouwmoller.diagrams import admissible_in, build_D0
 from bouwmoller.hooper import (OrthogonalPresentation, build_hooper, heights,
                                is_white, moduli, widths)
 from bouwmoller.renorm import derive
@@ -87,6 +87,49 @@ def _orthogonal_windows(m, n, windows=40, rectangles=1000):
                        math.tan(angle), rectangles)
 
 
+def _side_transitions(records, between):
+    """Add each side-to-side transition of a trace to `between`, with the
+    dual label crossed between its two sides (None if none); return the
+    positions of the side records."""
+    sides = [t for t, (kind, _) in enumerate(records) if kind == "side"]
+    for s, t in zip(sides, sides[1:]):
+        crossed = [lab for _, lab in records[s + 1:t]]
+        assert len(crossed) <= 1
+        between.setdefault((records[s][1], records[t][1]), set()).add(
+            crossed[0] if crossed else None)
+    return sides
+
+
+def test_derivation_arrows_match_the_transition_diagram():
+    for m, n in ((4, 3), (3, 4)):
+        between = {}
+        for records in _orthogonal_windows(m, n):
+            _side_transitions(records, between)
+        d0 = build_D0(m, n)
+        assert set(between) == set(d0.arrows)
+        for a, labels in between.items():
+            assert labels == {d0.arrow_labels.get(a)}
+
+
+def test_orthogonal_presentation_traces_admissible_words():
+    op = OrthogonalPresentation(4, 3)
+    start = ("H", 1, 1)
+    records = op.trace(start, 0.01, 0.0, 0.83, 60)
+    word = [lab for kind, lab in records if kind == "side"]
+    assert len(word) > 10
+    assert 0 in admissible_in(4, 3, word)
+
+
+def test_orthogonal_presentation_interleaves_side_and_dual_labels():
+    op = OrthogonalPresentation(4, 3)
+    records = op.trace(("H", 1, 1), 0.02, 0.0, 1.27, 80)
+    kinds = [kind for kind, _ in records]
+    assert {"side", "dual"} == set(kinds)
+    # two sides of the same cylinder are always separated by one dual side
+    for prev, cur in zip(records, records[1:]):
+        assert not (prev[0] == "dual" and cur[0] == "dual")
+
+
 @pytest.mark.parametrize("m,n", ORACLE_SURFACES)
 def test_orthogonal_presentation_is_an_oracle_for_derivation(m, n):
     """The orthogonal presentation crosses dual sides where derivation
@@ -96,15 +139,10 @@ def test_orthogonal_presentation_is_an_oracle_for_derivation(m, n):
     are exactly the arrows of D_0 with their labels."""
     between = {}
     for records in _orthogonal_windows(m, n):
-        sides = [t for t, (kind, _) in enumerate(records) if kind == "side"]
+        sides = _side_transitions(records, between)
         word = [records[t][1] for t in sides]
         duals = [lab for kind, lab in records[sides[0]:sides[-1]]
                  if kind == "dual"]
         assert derive(m, n, word) == duals
-        for s, t in zip(sides, sides[1:]):
-            crossed = [lab for _, lab in records[s + 1:t]]
-            assert len(crossed) <= 1
-            between.setdefault((records[s][1], records[t][1]), set()).add(
-                crossed[0] if crossed else None)
     d0 = build_D0(m, n)
     assert between == {x: {d0.arrow_labels.get(x)} for x in d0.arrows}
