@@ -789,8 +789,14 @@ def cmd_recognize(args):
         depth = args.depth if args.depth % 2 == 0 else args.depth + 1
         words, secs, amb = derivative_sequence(m, n, word, depth)
         if any(amb):
-            print("warning: some derivation steps had ambiguous sectors",
-                  file=sys.stderr)
+            # a derivative too short to fix its sector fixes no later one
+            stop = amb.index(True)
+            if stop < 3:
+                raise SystemExit2(f"derivation stage {stop} has ambiguous "
+                                  "sectors, before any whole branch pair")
+            print(f"warning: stopped at derivation stage {stop}, whose "
+                  "sectors are ambiguous", file=sys.stderr)
+            secs = secs[:stop]
         b0, rest = secs[0], secs[1:]
         pairs = list(zip(rest[0::2], rest[1::2]))
     else:

@@ -3,7 +3,7 @@
 import json
 import math
 
-from .tracer import _candidates, _exit
+from .tracer import _exit, _exits
 
 
 class NonPositiveShape(ValueError):
@@ -169,8 +169,7 @@ class Surface:
             ang = rays[j % 2]
             d = (math.cos(ang), math.sin(ang))
             p = poly.edge_midpoint(order[-1])
-            hit = _exit(_candidates(self.edge_table[k], d), p, d,
-                        skip=order[-1])[0]
+            hit = _exit(_exits(self.edge_table[k], d), p, d)[0]
             if hit % 2 != cls:
                 raise RuntimeError(f"zigzag ray of polygon {k} left the "
                                    f"forward class at edge {hit}")

@@ -1,13 +1,13 @@
 """Linear trajectories and their cutting sequences on the polygon chain."""
 
 import math
+from bisect import bisect_right
 
 EPS_GEO = 1e-9
-# An exit must lie this far ahead of the ray's start along the direction.
-T_MIN = EPS_GEO * 1e-3
-# A side is parallel to a direction d when |d x v| <= EXIT_TOL for its edge
-# vector v.  Over 2 <= m <= 11, 3 <= n <= 11 and the directions j*pi/(2n),
-# parallel seats give at most 1.03e-15 and transverse ones at least 0.040.
+# A direction d leaves a polygon by the edges e with d x e > EXIT_TOL, for
+# trace, the zigzag labelling, start_through and _cylinder alike.  Over
+# 2 <= m <= 11, 3 <= n <= 11 and the directions j*pi/(2n), parallel edges
+# give |d x e| at most 6.4e-15 and transverse ones at least 0.040.
 EXIT_TOL = 1e-12
 # How far behind its side, along the direction, a start point is placed.
 BACK = 1e-7
@@ -68,81 +68,83 @@ def sector_of(direction, n, tol=1e-12):
     return int(math.floor(q)) % (2 * n), False
 
 
-def _candidates(edges, d):
-    """Rows of one polygon's edge table not parallel to d, with den = d x e."""
-    out = []
-    for i, ax, ay, ex, ey, bx, by in edges:
-        den = d[0] * ey - d[1] * ex
-        if abs(den) >= 1e-15:
-            out.append((i, ax, ay, ex, ey, bx, by, den))
-    return out
+def _exits(edges, d):
+    """Exit table of one polygon along d: the h(a) of its rows, and the rows.
+
+    The rows (i, ax, ay, ex, ey, bx, by, den) are the edges with
+    den = d x e > EXIT_TOL, sorted by h(a), where h(p) = d x p.  Along each
+    of them h grows from h(a) to h(b), so they tile the polygon's h-range.
+    """
+    dx, dy = d
+    rows = sorted((dx * ay - dy * ax, i, ax, ay, ex, ey, bx, by, den)
+                  for i, ax, ay, ex, ey, bx, by in edges
+                  if (den := dx * ey - dy * ex) > EXIT_TOL)
+    return [r[0] for r in rows], [r[1:] for r in rows]
 
 
-def _exit(candidates, p, d, skip):
+def _exit(table, p, d):
     """Exit edge, ray parameter and hit point leaving a polygon from p along d.
 
-    candidates is _candidates(edges, d) for the polygon's edge table; the
-    edge with index skip (the one entered through, or -1) is passed over.
-    The first edge with the least t > T_MIN whose hit lies on the edge
-    (-1e-9 <= s <= 1 + 1e-9) wins; s is only computed for a t that would
-    become the least.
+    table is _exits(edges, d) for the polygon; the exit edge is the row
+    whose h-range holds h(p).  A t <= 0 there puts p within rounding of a
+    side nearly parallel to d, which the ray grazes into the neighbouring
+    exit edge (the next row if d . e > 0, else the one before): a VertexHit.
     """
+    hs, rows = table
     px, py = p
     dx, dy = d
-    best, best_t = None, math.inf
-    for i, ax, ay, ex, ey, bx, by, den in candidates:
-        if i == skip:
-            continue
+    j = max(bisect_right(hs, dx * py - dy * px) - 1, 0)
+    i, ax, ay, ex, ey, bx, by, den = rows[j]
+    t = ((ax - px) * ey - (ay - py) * ex) / den
+    along = t <= 0
+    if along:
+        j += 1 if dx * ex + dy * ey > 0 else -1
+        if not 0 <= j < len(rows):
+            raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
+        i, ax, ay, ex, ey, bx, by, den = rows[j]
         t = ((ax - px) * ey - (ay - py) * ex) / den
-        if T_MIN < t < best_t:
-            s = ((ax - px) * dy - (ay - py) * dx) / den
-            if -1e-9 <= s <= 1 + 1e-9:
-                best, best_t = (i, ax, ay, bx, by), t
-    if best is None:
-        raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-    i, ax, ay, bx, by = best
-    q = (px + best_t * dx, py + best_t * dy)
+    q = (px + t * dx, py + t * dy)
     if (math.hypot(q[0] - ax, q[1] - ay) < EPS_GEO
             or math.hypot(q[0] - bx, q[1] - by) < EPS_GEO):
         raise VertexHit(f"hit vertex of edge {i} at {q}")
-    return i, best_t, q
+    if along:
+        raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
+    return i, t, q
 
 
 def trace(surf, start, direction, max_crossings):
     """Cutting sequence of the trajectory from start in the given direction.
 
-    start is a pair (polygon index, point).  Raises VertexHit if the
-    trajectory passes within EPS_GEO of a vertex; the caller may perturb
-    the start and retry.
+    start is a pair (polygon index, point).  Raises VertexHit if the start
+    lies more than EPS_GEO outside its polygon, or if the trajectory passes
+    within EPS_GEO of a vertex; the caller may perturb the start and retry.
     """
     k, p = start
+    if not surf.polygons[k].contains(p, tol=EPS_GEO):
+        raise VertexHit(f"start {p} lies outside polygon {k}")
     d = (math.cos(direction), math.sin(direction))
-    candidates = [_candidates(edges, d) for edges in surf.edge_table]
+    tables = [_exits(edges, d) for edges in surf.edge_table]
     glue = surf.glue_table
     labels, crossings = [], []
     t_acc = 0.0
-    entry = -1
     for _ in range(max_crossings):
-        e, t, q = _exit(candidates[k], p, d, entry)
+        e, t, q = _exit(tables[k], p, d)
         t_acc += t
-        label, k2, entry, sx, sy = glue[k][e]
+        label, k2, _, sx, sy = glue[k][e]
         labels.append(label)
         crossings.append(Crossing(label, k, q, t_acc))
         k, p = k2, (q[0] + sx, q[1] + sy)
     return CuttingWord(labels, crossings, direction, start)
 
 
-def _exit_seat(surf, label, d):
-    """Seat (polygon, edge) of side label that direction d leaves through.
+def _exit_rows(surf, d):
+    """(polygon, exit row) along d of every side not parallel to d, by label.
 
-    Edges run counterclockwise, so that is the seat whose edge vector v has
-    d x v > EXIT_TOL; None when d is parallel to the side.
+    Of a side's two seats only one can be in its polygon's exit table.
     """
-    for k, e in surf.seats(label):
-        vx, vy = surf.polygons[k].edge_vector(e)
-        if d[0] * vy - d[1] * vx > EXIT_TOL:
-            return k, e
-    return None
+    return {surf.seat_label[k, row[0]]: (k, row)
+            for k, edges in enumerate(surf.edge_table)
+            for row in _exits(edges, d)[1]}
 
 
 def _cylinder(surf, word, direction):
@@ -159,44 +161,42 @@ def _cylinder(surf, word, direction):
     otherwise (start, width), the start behind the interval's midpoint and
     the final interval's width as a fraction of the last side's length.
     """
-    d = (math.cos(direction), math.sin(direction))
-
-    def h(p):
-        return d[0] * p[1] - d[1] * p[0]
-
-    seat = _exit_seat(surf, word[0], d)
-    if seat is None:
+    dx, dy = d = (math.cos(direction), math.sin(direction))
+    rows = _exit_rows(surf, d)
+    if word[0] not in rows:
         return None
-    k0 = k = seat[0]
-    a0, b0 = surf.polygons[k0].edge(seat[1])
+    k0, (_, ax0, ay0, ex0, ey0, bx0, by0, _) = rows[word[0]]
+    k = k0
     lo, hi = -math.inf, math.inf
     offset = 0.0  # h in the current polygon minus h in polygon k0
     for label in word:
-        seat = _exit_seat(surf, label, d)
-        if seat is None or seat[0] != k:
+        found = rows.get(label)
+        if found is None or found[0] != k:
             return None
-        a, b = surf.polygons[k].edge(seat[1])
-        lo, hi = max(lo, h(a) - offset), min(hi, h(b) - offset)
+        _, (e, ax, ay, _, _, bx, by, _) = found
+        ha, hb = dx * ay - dy * ax, dx * by - dy * bx
+        lo, hi = max(lo, ha - offset), min(hi, hb - offset)
         if hi <= lo:
             return None
-        (k, _), shift = surf.glue(*seat)
-        offset += h(shift)
-    width = (hi - lo) / (h(b) - h(a))
-    s = ((lo + hi) / 2 - h(a0)) / (h(b0) - h(a0))
-    start = (a0[0] + s * (b0[0] - a0[0]) - BACK * d[0],
-             a0[1] + s * (b0[1] - a0[1]) - BACK * d[1])
+        _, k, _, sx, sy = surf.glue_table[k][e]
+        offset += dx * sy - dy * sx
+    width = (hi - lo) / (hb - ha)
+    ha0 = dx * ay0 - dy * ax0
+    s = ((lo + hi) / 2 - ha0) / (dx * by0 - dy * bx0 - ha0)
+    start = (ax0 + s * ex0 - BACK * dx, ay0 + s * ey0 - BACK * dy)
     return (k0, start), width
 
 
 def start_through(surf, label, direction):
     """Start (polygon, point) just behind the side so the first crossing is it."""
     d = (math.cos(direction), math.sin(direction))
-    seat = _exit_seat(surf, label, d)
-    if seat is None:
+    if label not in surf.sides:
+        raise KeyError(label)
+    found = _exit_rows(surf, d).get(label)
+    if found is None:
         raise VertexHit(f"direction {direction} is parallel to side {label}")
-    k, e = seat
-    mx, my = surf.polygons[k].edge_midpoint(e)
-    return k, (mx - BACK * d[0], my - BACK * d[1])
+    k, (_, ax, ay, _, _, bx, by, _) = found
+    return k, ((ax + bx) / 2 - BACK * d[0], (ay + by) / 2 - BACK * d[1])
 
 
 def realize_periodic(m, n, n1, n2):

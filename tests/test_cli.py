@@ -152,6 +152,23 @@ def test_recognize_a_sector_n_word():
     assert abs(float(r.stdout) - theta) < 1e-3
 
 
+def test_recognize_stops_at_the_first_ambiguous_stage():
+    # the 15th and 16th derivatives of this window have two letters and
+    # one, too short to fix their sectors
+    theta = math.pi + 0.7
+    surf = build_surface(4, 3)
+    word = trace(surf, start_through(surf, 1, theta), theta, 2000).labels
+    args = ("recognize", "-m", "4", "-n", "3", "--depth", "16",
+            "--word", ",".join(map(str, word)))
+    r = run_cli(*args, "--tol", "1e-6")
+    assert r.returncode == 2
+    assert "branch pair" not in r.stderr
+    assert "stage 15" in r.stderr
+    r = run_cli(*args, "--tol", "1e-5")
+    assert r.returncode == 0
+    assert abs(float(r.stdout) - theta) < 1e-5
+
+
 def test_verify_reports_are_byte_deterministic():
     args = ("verify", "-m", "4", "-n", "3", "--trials", "4", "--seed", "7")
     first, second = run_cli(*args), run_cli(*args)
