@@ -786,8 +786,19 @@ def cmd_recognize(args):
         pairs = list(zip(rest[0::2], rest[1::2]))
     elif args.word:
         word = _parse_word(args.word)
+        if args.depth < 1:
+            raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
         depth = args.depth if args.depth % 2 == 0 else args.depth + 1
-        words, secs, amb = derivative_sequence(m, n, word, depth)
+        # derive only as deep as the word has letters for; the stage where
+        # they run out is ambiguous, so the stop rule below applies to it
+        for k in range(depth, -1, -1):
+            try:
+                words, secs, amb = derivative_sequence(m, n, word, k)
+                break
+            except NotAdmissible:
+                raise
+            except ValueError:
+                continue  # some derivative before stage k is too short
         if any(amb):
             # a derivative too short to fix its sector fixes no later one
             stop = amb.index(True)

@@ -185,24 +185,42 @@ def sector_permutation(m, n, i):
     return min(candidates, key=lambda p: [p[s] for s in labels])
 
 
+@lru_cache(maxsize=None)
+def _sector_masks(m, n):
+    """Admissibility table of M(m,n): transition -> bitmask of sectors.
+
+    Bit i of the mask of (a, b) is set when T_i has the arrow (a, b), and
+    bit i + n when it has (b, a), so that T_i admits the reversed word.
+    Also returns the mask of every sector with a reflecting normalization.
+    """
+    masks, full = {}, 0
+    for i in range(n):
+        try:
+            arrows = build_Ti(m, n, i).arrows
+        except ValueError:
+            continue
+        full |= 1 << i | 1 << (i + n)
+        for a, b in arrows:
+            masks[(a, b)] = masks.get((a, b), 0) | 1 << i
+            masks[(b, a)] = masks.get((b, a), 0) | 1 << (i + n)
+    return masks, full
+
+
 def admissible_in(m, n, word):
     """Set of sectors in 0..2n-1 whose transition diagram admits the word.
 
     Sectors with no reflecting normalization (see sector_permutation) are
-    omitted.
+    omitted.  The answer is the AND of the sector masks of the word's
+    distinct transitions in one table per surface (_sector_masks), built
+    from the n diagrams T_i on first use.
     """
     word = list(word)
-    result = set()
-    for i in range(n):
-        try:
-            d = build_Ti(m, n, i)
-        except ValueError:
-            continue
-        if d.admits(word):
-            result.add(i)
-        if d.admits(list(reversed(word))):
-            result.add(i + n)
-    return result
+    masks, mask = _sector_masks(m, n)
+    for pair in set(zip(word, word[1:])):
+        mask &= masks.get(pair, 0)
+        if not mask:
+            break
+    return {i for i in range(2 * n) if mask >> i & 1}
 
 
 class ArrowAlphabet:

@@ -89,14 +89,27 @@ def _dual_sector(v, m, tol):
     return a, psi, margin < tol
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _step_matrices(m, n):
+    """gamma(m, n) and reflection(n, m, a) for a = 0..m-1, read-only."""
+    return (_read_only(gamma(m, n)),
+            tuple(_read_only(reflection(n, m, a)) for a in range(m)))
+
+
 def _f_step(m, n, v, tol):
     """One projective renormalization step on a direction vector of M(m,n).
 
     Returns (dual sector a, normalized image vector, boundary flag).
     """
-    w = _upper(gamma(m, n) @ v)
+    g, refl = _step_matrices(m, n)
+    w = _upper(g @ v)
     a, _, on_boundary = _dual_sector(w, m, tol)
-    out = _upper(reflection(n, m, a) @ w)
+    out = _upper(refl[a] @ w)
     return a, out / np.hypot(out[0], out[1]), on_boundary
 
 
@@ -152,8 +165,13 @@ def subsectors(m, n):
 
 @lru_cache(maxsize=None)
 def _branch_matrix(m, n, a, b):
-    return (reflection(m, n, b) @ gamma(n, m)
-            @ reflection(n, m, a) @ gamma(m, n))
+    return _read_only(reflection(m, n, b) @ gamma(n, m)
+                      @ reflection(n, m, a) @ gamma(m, n))
+
+
+@lru_cache(maxsize=None)
+def _branch_inverse(m, n, a, b):
+    return _read_only(np.linalg.inv(_branch_matrix(m, n, a, b)))
 
 
 def ff_branches(m, n):
@@ -230,7 +248,7 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
     e1 = np.array([math.cos(math.pi / n), math.sin(math.pi / n)])
     mat = np.eye(2)
     for a, b in pairs:
-        mat = mat @ np.linalg.inv(_branch_matrix(m, n, a, b))
+        mat = mat @ _branch_inverse(m, n, a, b)
         mat = mat / np.abs(mat).max()
     lo, hi = sorted((_angle(mat @ e0), _angle(mat @ e1)))
     if hi - lo >= tol:

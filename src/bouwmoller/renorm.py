@@ -21,6 +21,13 @@ class PathMissing(Exception):
     """No label-free interpolating path (must not occur)."""
 
 
+@lru_cache(maxsize=None)
+def _d0_steps(m, n):
+    """D_0 of M(m,n) as one table: arrow -> its dual label, or 0 if unlabeled."""
+    d0 = build_D0(m, n)
+    return {arrow: d0.arrow_labels.get(arrow, 0) for arrow in d0.arrows}
+
+
 def derive(m, n, word, cyclic=False):
     """Dual labels of the labeled transitions of a T_0-admissible word.
 
@@ -30,31 +37,28 @@ def derive(m, n, word, cyclic=False):
     word = list(word)
     if len(word) < 2:
         raise ValueError("derivation needs at least two letters")
-    d0 = build_D0(m, n)
-    out = []
-    for a, b in zip(word, word[1:] + (word[:1] if cyclic else [])):
-        if (a, b) not in d0.arrows:
-            raise NotAdmissible(f"transition ({a}, {b}) not in T_0 of M({m},{n})")
-        lab = d0.arrow_labels.get((a, b))
-        if lab is not None:
-            out.append(lab)
-    return out
+    nxt = word[1:] + (word[:1] if cyclic else [])
+    labels = list(map(_d0_steps(m, n).get, zip(word, nxt)))
+    if None in labels:
+        k = labels.index(None)
+        raise NotAdmissible(f"transition ({word[k]}, {nxt[k]}) "
+                            f"not in T_0 of M({m},{n})")
+    return list(filter(None, labels))
 
 
 def normalize(m, n, word):
     """Smallest admissible sector and the word mapped into T_0."""
     word = list(word)
-    sectors = admissible_in(m, n, word)
+    return _normalized(m, n, word, admissible_in(m, n, word))
+
+
+def _normalized(m, n, word, sectors):
+    """normalize, given the list word and its admissible sectors."""
     if not sectors:
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
     i = min(sectors)
-    if i >= n:
-        word = list(reversed(word))
-        i -= n
-        perm = sector_permutation(m, n, i)
-        return i + n, [perm[x] for x in word]
-    perm = sector_permutation(m, n, i)
-    return i, [perm[x] for x in word]
+    perm = sector_permutation(m, n, i % n)
+    return i, [perm[x] for x in (word[::-1] if i >= n else word)]
 
 
 def derivative_sequence(m, n, word, k):
@@ -77,7 +81,7 @@ def derivative_sequence(m, n, word, k):
         if t == k:
             sectors.append(min(adm) if adm else None)
             break
-        i, u = normalize(mm, nn, cur)
+        i, u = _normalized(mm, nn, cur, adm)
         sectors.append(i)
         cur = derive(mm, nn, u)
         words.append(cur)

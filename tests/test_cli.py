@@ -127,11 +127,14 @@ def test_trace_report_schema(tmp_path):
      "--itinerary must be integers b0,a1,b1[,a2,b2...]"),
     (("verify", "-m", "4", "-n", "4"),
      "verify does not support m and n both even, got (4, 4)"),
+    (("recognize", "-m", "4", "-n", "3", "--word", "1,6,7,8", "--depth", "-3"),
+     "--depth must be at least 1, got -3"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
         "verify-zero-trials", "verify-negative-trials", "start-without-y",
-        "start-not-finite", "itinerary-not-integers", "verify-both-even"])
+        "start-not-finite", "itinerary-not-integers", "verify-both-even",
+        "recognize-negative-depth"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
@@ -167,6 +170,25 @@ def test_recognize_stops_at_the_first_ambiguous_stage():
     r = run_cli(*args, "--tol", "1e-5")
     assert r.returncode == 0
     assert abs(float(r.stdout) - theta) < 1e-5
+
+
+def test_recognize_derives_only_as_deep_as_the_word_allows():
+    # the sixth derivative of this 30-crossing window has one letter, so
+    # depth 8 derives six times and stops at the ambiguous stage 5, as
+    # depth 6 does
+    surf = build_surface(4, 3)
+    word = trace(surf, start_through(surf, 1, 0.3), 0.3, 30).labels
+    for depth in ("6", "8", "30"):
+        r = run_cli("recognize", "-m", "4", "-n", "3", "--depth", depth,
+                    "--tol", "0.05", "--word", ",".join(map(str, word)))
+        assert r.returncode == 0
+        assert r.stdout == "0.303974571726\n"
+        assert "stopped at derivation stage 5" in r.stderr
+    r = run_cli("recognize", "-m", "4", "-n", "3", "--depth", "8",
+                "--word", ",".join(map(str, word[:6])))
+    assert r.returncode == 2
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert "before any whole branch pair" in r.stderr
 
 
 def test_verify_reports_are_byte_deterministic():

@@ -106,6 +106,59 @@ def test_traced_words_are_admissible_in_their_sector(m, n):
         assert exact > 0
 
 
+def _admissible_reference(m, n, word):
+    # one diagram per sector, as admissible_in worked before its mask table
+    out = set()
+    for i in range(n):
+        try:
+            d = build_Ti(m, n, i)
+        except ValueError:
+            continue
+        if d.admits(word):
+            out.add(i)
+        if d.admits(list(reversed(word))):
+            out.add(i + n)
+    return out
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (3, 5), (3, 7), (4, 4), (4, 6),
+                                  (2, 4), (2, 6)])
+def test_sector_masks_match_the_diagrams(m, n):
+    rng = random.Random(f"masks:{m}:{n}")
+    surf = build_surface(m, n)
+    labels = list(surf.labels)
+    words = [[], [labels[0]], [0], [len(labels) + 1], [1, len(labels) + 1],
+             [-1, 1, 2], [1, 1]]
+    for _ in range(60):
+        # a T_0 walk, and its image in a random sector that has a
+        # normalization
+        walk = random_walk(m, n, rng, rng.randrange(2, 40))
+        i = rng.randrange(n)
+        try:
+            perm = sector_permutation(m, n, i)
+        except ValueError:
+            perm = sector_permutation(m, n, 0)
+        words += [walk, [perm[x] for x in walk]]
+    while len(words) < 300:
+        theta = rng.uniform(0, 2 * math.pi)
+        try:
+            word = trace(surf, start_through(surf, rng.choice(labels), theta),
+                         theta, rng.randrange(2, 60)).labels
+        except VertexHit:
+            continue
+        words.append(word)
+        corrupted = list(word)
+        corrupted[rng.randrange(len(word))] = rng.choice(labels + [0])
+        words.append(corrupted)
+    seen = set()
+    for word in words:
+        want = _admissible_reference(m, n, word)
+        assert admissible_in(m, n, word) == want, word
+        seen |= want
+    normalizable = _admissible_reference(m, n, [])
+    assert seen == normalizable
+
+
 def test_admissibility_detects_sector_and_reversal():
     assert admissible_in(4, 3, [1, 2, 3]) == {0, 3}
     assert admissible_in(4, 3, [1, 6, 7, 8, 7, 8, 5, 4, 5, 2]) == {0}

@@ -26,6 +26,14 @@ def test_derive_rejects_bad_input():
         derive(4, 3, [1])
     with pytest.raises(NotAdmissible):
         derive(4, 3, [1, 1])
+    # the message names the first bad transition, the wrap-around one last
+    with pytest.raises(NotAdmissible,
+                       match=r"^transition \(7, 1\) not in T_0 of M\(4,3\)$"):
+        derive(4, 3, [1, 6, 7, 1, 7])
+    assert derive(4, 3, [1, 6, 7, 8]) == [4]
+    with pytest.raises(NotAdmissible,
+                       match=r"^transition \(8, 1\) not in T_0 of M\(4,3\)$"):
+        derive(4, 3, [1, 6, 7, 8], cyclic=True)
 
 
 def test_generate_rejects_unknown_sides():
