@@ -309,22 +309,21 @@ def check_moduli():
             "_runtime_s": dt}
 
 
-_TRIALS_CACHE = {}
+def check_traced_windows(m, n, trials=200, seed=7, depth=6, window=420):
+    """Deep derivability and itinerary agreement on the same traced windows.
 
-
-def _traced_trials(m, n, trials, seed, window, depth):
-    """Shared trial records: random direction + interior start, the traced
-    window, its full derivative sequence (or an admissibility error marker),
-    and the Farey itinerary of the direction.  Memoized so the derivability
-    and itinerary checks see literally the same trials."""
-    key = (m, n, trials, seed, window, depth)
-    if key in _TRIALS_CACHE:
-        return _TRIALS_CACHE[key]
+    Each trial traces a window from a random direction and interior start,
+    derives it depth times and computes the Farey itinerary of the
+    direction.  Returns two reports: every depth-k derivative sequence stays
+    among the admissible words, and the sectors of the derivatives equal the
+    itinerary wherever they are unambiguous.
+    """
+    t0 = time.perf_counter()
     surf = build_surface(m, n)
     rng = _rng(seed, "trace", m, n)
     skipped = {"boundary": 0, "vertex": 0, "short": 0}
-    records = []
-    while len(records) < trials:
+    done = failures = mismatches = ambiguous = checked = 0
+    while done < trials:
         theta = rng.uniform(0, 2 * math.pi)
         if sector_of(theta, n, tol=1e-9)[1]:
             skipped["boundary"] += 1
@@ -336,9 +335,9 @@ def _traced_trials(m, n, trials, seed, window, depth):
             skipped["vertex"] += 1
             continue
         try:
-            seq, err = derivative_sequence(m, n, labels, depth), None
-        except NotAdmissible as exc:
-            seq, err = None, str(exc)
+            seq = derivative_sequence(m, n, labels, depth)
+        except NotAdmissible:
+            seq = None
         except ValueError:
             skipped["short"] += 1
             continue
@@ -347,43 +346,14 @@ def _traced_trials(m, n, trials, seed, window, depth):
         except BoundaryOrbit:
             skipped["boundary"] += 1
             continue
-        records.append((theta, labels, seq, err, itin))
-    _TRIALS_CACHE[key] = (records, skipped)
-    return records, skipped
-
-
-def check_infinite_derivability(m, n, trials=200, seed=7, depth=6,
-                                window=420):
-    """Depth-k derivative sequences of traced windows never leave the
-    admissible words."""
-    _TRIALS_CACHE.pop((m, n, trials, seed, window, depth), None)
-    t0 = time.perf_counter()
-    records, skipped = _traced_trials(m, n, trials, seed, window, depth)
-    failures = 0
-    for theta, labels, seq, err, itin in records:
-        if err is not None:
+        done += 1
+        if seq is None:
             failures += 1
+            mismatches += 1
             continue
         words, secs, amb = seq
         if len(words) != depth + 1 or any(len(w) < 1 for w in words):
             failures += 1
-    dt = time.perf_counter() - t0
-    return {"name": "infinite-derivability", "surface": [m, n],
-            "status": "pass" if failures == 0 else "fail",
-            "trials": trials, "failures": failures, "depth": depth,
-            "window": window, "skipped": skipped, "_runtime_s": dt}
-
-
-def check_itinerary_agreement(m, n, trials=200, seed=7, depth=6, window=420):
-    """Sector sequences of derivatives equal the Farey itinerary."""
-    t0 = time.perf_counter()
-    records, skipped = _traced_trials(m, n, trials, seed, window, depth)
-    mismatches = ambiguous = checked = 0
-    for theta, labels, seq, err, itin in records:
-        if err is not None:
-            mismatches += 1
-            continue
-        words, secs, amb = seq
         if any(amb):
             ambiguous += 1
             continue
@@ -391,11 +361,18 @@ def check_itinerary_agreement(m, n, trials=200, seed=7, depth=6, window=420):
         if secs != itin.flatten():
             mismatches += 1
     dt = time.perf_counter() - t0
-    return {"name": "itinerary-agreement", "surface": [m, n],
-            "status": "pass" if mismatches == 0 else "fail",
-            "trials": trials, "checked": checked, "mismatches": mismatches,
-            "ambiguous_quarantined": ambiguous, "skipped": skipped,
-            "_runtime_s": dt}
+    derivability = {
+        "name": "infinite-derivability", "surface": [m, n],
+        "status": "pass" if failures == 0 else "fail",
+        "trials": trials, "failures": failures, "depth": depth,
+        "window": window, "skipped": skipped, "_runtime_s": dt}
+    agreement = {
+        "name": "itinerary-agreement", "surface": [m, n],
+        "status": "pass" if mismatches == 0 else "fail",
+        "trials": trials, "checked": checked, "mismatches": mismatches,
+        "ambiguous_quarantined": ambiguous, "skipped": dict(skipped),
+        "_runtime_s": dt}
+    return derivability, agreement
 
 
 def check_geometric_oracle(m, n, trials=100, seed=7, window=420):
@@ -575,8 +552,7 @@ GLOBAL_CHECKS = (check_derivation_golden, check_substitution_goldens,
                  check_permutation_goldens, check_diagram_structure,
                  check_moduli, check_conjugacy, check_periodic_fixed_points)
 
-SURFACE_CHECKS = (check_infinite_derivability, check_itinerary_agreement,
-                  check_geometric_oracle, check_generation_inverse,
+SURFACE_CHECKS = (check_geometric_oracle, check_generation_inverse,
                   check_direction_recognition)
 
 
@@ -595,6 +571,7 @@ def run_verification(surfaces, seed=7, trials=None):
         else:
             checks.append(fn())
     for (m, n) in surfaces:
+        checks.extend(check_traced_windows(m, n, seed=seed, **counts))
         for fn in SURFACE_CHECKS:
             checks.append(fn(m, n, seed=seed, **counts))
     report = {
@@ -623,7 +600,7 @@ class SystemExit2(Exception):
 def cmd_surface(args):
     surf = build_surface(args.m, args.n)
     _emit(args, f"surface_m{args.m}n{args.n}.json", surf.to_json(indent=2))
-    if args.svg or args.format == "svg":
+    if args.svg:
         _emit(args, f"surface_m{args.m}n{args.n}.svg", surf.to_svg())
     return 0
 
@@ -652,7 +629,7 @@ def cmd_trace(args):
             "crossings": [c.as_dict() for c in word.crossings]}
     if args.out:
         _emit(args, f"trace_m{args.m}n{args.n}.json", _dumps(data, indent=2))
-        if args.svg or args.format == "svg":
+        if args.svg:
             segments = []
             p = start[1]
             for c in word.crossings:
@@ -742,7 +719,7 @@ def cmd_farey(args):
             "subsectors": [list(s) for s in subsectors(m, n)],
             "branches": branches}
     _emit(args, f"farey_m{m}n{n}.json", _dumps(data, indent=2))
-    if args.svg or args.format == "svg":
+    if args.svg:
         _emit(args, f"farey_m{m}n{n}.svg", _farey_svg(m, n))
     return 0
 
@@ -865,12 +842,11 @@ def _build_parser():
                     "and their renormalization operators.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("-m", type=int, required=True, help="polygon count")
         p.add_argument("-n", type=int, required=True, help="half the sides")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=("json", "dot", "svg"),
-                       default="json")
+        if out:
+            p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("surface", help="construct and export a surface")
     common(p)
@@ -884,7 +860,8 @@ def _build_parser():
     p.add_argument("--through", type=int, default=1,
                    help="start just behind this side (default 1)")
     p.add_argument("--crossings", type=int, default=64)
-    p.add_argument("--svg", action="store_true")
+    p.add_argument("--svg", action="store_true",
+                   help="with --out, also write the path as SVG")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("derive", help="derivation operator on a word")
@@ -916,7 +893,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_farey)
 
     p = sub.add_parser("recognize", help="direction from an itinerary")
-    common(p)
+    common(p, out=False)
     p.add_argument("--itinerary", help="flat list b0,a1,b1,...")
     p.add_argument("--word", help="recover the itinerary from this word")
     p.add_argument("--depth", type=int, default=8,
@@ -926,6 +903,7 @@ def _build_parser():
 
     p = sub.add_parser("diagram", help="transition/derivation/Hooper diagrams")
     common(p)
+    p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("-i", "--sector", type=int, default=0)
     p.add_argument("--derivation", action="store_true")
     p.add_argument("--hooper", action="store_true")
@@ -940,7 +918,6 @@ def _build_parser():
                    help="override per-check trial counts")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=cmd_verify)
 
     return top

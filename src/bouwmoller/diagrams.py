@@ -24,25 +24,12 @@ def t0_grid(m, n):
     return tuple(rows)
 
 
-def _universal_arrows(grid):
-    """Arrow set shared by all transition diagrams, on a given labeling."""
-    rows, cols = len(grid), len(grid[0])
-    arrows = set()
-    for r in range(rows):
-        for c in range(cols - 1):
-            arrows.add((grid[r][c], grid[r][c + 1]))
-            arrows.add((grid[r][c + 1], grid[r][c]))
-    for c in range(cols):
-        for r in range(rows - 1):
-            if c % 2 == 0:  # display column c+1 odd: downward
-                arrows.add((grid[r][c], grid[r + 1][c]))
-            else:
-                arrows.add((grid[r + 1][c], grid[r][c]))
-    return frozenset(arrows)
-
-
 class TransitionDiagram:
-    """Grid of side labels plus the universal arrow pattern."""
+    """Grid of side labels plus the universal arrow pattern.
+
+    grid relabels the slots of T_0's grid; each arrow of T_0 (the arrows
+    ArrowAlphabet names) becomes the arrow between the same two slots.
+    """
 
     dot_name = "transitions"
 
@@ -51,7 +38,10 @@ class TransitionDiagram:
         self.n = n
         self.sector = sector
         self.grid = tuple(tuple(row) for row in grid)
-        self.arrows = _universal_arrows(self.grid)
+        relabel = {x: y for row0, row in zip(t0_grid(m, n), self.grid)
+                   for x, y in zip(row0, row)}
+        self.arrows = frozenset((relabel[a], relabel[b])
+                                for a, b in arrow_alphabet(m, n).name_of_arrow)
         self.arrow_labels = {}
 
     def admits(self, word):

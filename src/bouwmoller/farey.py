@@ -11,13 +11,6 @@ from .tracer import sector_of
 
 EPS_DYN = 1e-12
 
-__all__ = [
-    "DomainError", "BoundaryOrbit", "NoConvergence", "EPS_DYN",
-    "gamma", "gamma_factors", "reflection", "subsectors", "farey_F",
-    "farey_F_cot", "farey_FF", "ff_branches", "Itinerary", "itinerary",
-    "direction_from_itinerary",
-]
-
 
 class DomainError(Exception):
     """Direction outside the standard sector."""
@@ -31,18 +24,11 @@ class NoConvergence(Exception):
     """Nested inverse branches failed to shrink below tolerance."""
 
 
-def gamma_factors(m, n):
-    """Flip, shear, similarity, and dual shear whose product is gamma(m, n)."""
-    flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    shear = np.array([[1.0, 1.0 / math.tan(math.pi / n)], [0.0, 1.0]])
-    r = math.sqrt(math.sin(math.pi / n) / math.sin(math.pi / m))
-    diag = np.array([[r, 0.0], [0.0, 1.0 / r]])
-    dual_shear = np.array([[1.0, 1.0 / math.tan(math.pi / m)], [0.0, 1.0]])
-    return dual_shear, diag, shear, flip
-
-
 def gamma(m, n):
-    """Linear part of the flip-and-shear map from M(m,n) to M(n,m)."""
+    """Linear part of the flip-and-shear map from M(m,n) to M(n,m).
+
+    It factors as a flip, a shear, a similarity and a dual shear, in turn.
+    """
     sm, sn = math.sin(math.pi / m), math.sin(math.pi / n)
     cm, cn = math.cos(math.pi / m), math.cos(math.pi / n)
     return np.array([[-math.sqrt(sn / sm), (cm + cn) / math.sqrt(sm * sn)],
@@ -72,23 +58,6 @@ def _angle(v):
     return math.atan2(v[1], v[0])
 
 
-def _dual_sector(v, m, tol):
-    """Index a with angle(v) in [a pi/m, (a+1) pi/m], plus boundary flag.
-
-    v must lie in the image cone of gamma, i.e. between angles pi/m and pi;
-    representatives that wrapped past pi are folded back.  The flag marks
-    angular distance below tol to the nearest sector boundary.
-    """
-    v = _upper(v)
-    psi = math.atan2(v[1], v[0])
-    step = math.pi / m
-    if psi < 0.5 * step:
-        psi += math.pi
-    margin = min(abs(psi - j * step) for j in range(1, m + 1))
-    a = min(max(int(psi // step), 1), m - 1)
-    return a, psi, margin < tol
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -104,11 +73,20 @@ def _step_matrices(m, n):
 def _f_step(m, n, v, tol):
     """One projective renormalization step on a direction vector of M(m,n).
 
-    Returns (dual sector a, normalized image vector, boundary flag).
+    The image w = gamma v lies between angles pi/m and pi; representatives
+    that wrapped past pi are folded back.  Its angle psi falls in sector a
+    of M(n,m), [a pi/m, (a+1) pi/m], which reflection(n, m, a) takes to the
+    standard sector.  Returns (a, normalized image vector, boundary flag);
+    the flag marks psi within tol of either bound of sector a.
     """
     g, refl = _step_matrices(m, n)
     w = _upper(g @ v)
-    a, _, on_boundary = _dual_sector(w, m, tol)
+    psi = math.atan2(w[1], w[0])
+    step = math.pi / m
+    if psi < 0.5 * step:
+        psi += math.pi
+    a = min(max(int(psi // step), 1), m - 1)
+    on_boundary = min(abs(psi - a * step), abs(psi - (a + 1) * step)) < tol
     out = _upper(refl[a] @ w)
     return a, out / np.hypot(out[0], out[1]), on_boundary
 
@@ -123,17 +101,6 @@ def farey_F(m, n, theta):
     if psi > 0.5 * math.pi:
         psi = max(0.0, psi - math.pi)
     return a, psi
-
-
-def farey_F_cot(m, n, u):
-    """The same step as a linear fractional map on inverse slopes."""
-    v = _upper(np.array([float(u), 1.0]))
-    if _angle(v) > math.pi / n + EPS_DYN:
-        raise DomainError(f"inverse slope {u} outside the standard sector")
-    a, out, _ = _f_step(m, n, v, 0.0)
-    if abs(out[1]) < 1e-300:
-        return a, math.inf
-    return a, out[0] / out[1]
 
 
 def farey_FF(m, n, theta):

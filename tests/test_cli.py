@@ -143,6 +143,33 @@ def test_bad_arguments_are_usage_errors(args, message):
     assert len(r.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("diagram", "-m", "4", "-n", "3", "--format", "svg"),
+    ("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--out", "x"),
+    ("derive", "-m", "4", "-n", "3", "--word", "1,6", "--format", "json"),
+    ("generate", "-m", "4", "-n", "3", "-i", "1", "--word", "1,2",
+     "--format", "json"),
+    ("subst", "-m", "4", "-n", "3", "-i", "1", "--format", "json"),
+    ("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2",
+     "--format", "json"),
+    ("verify", "-m", "4", "-n", "3", "--format", "json"),
+    ("surface", "-m", "4", "-n", "3", "--format", "svg"),
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--format", "svg"),
+    ("farey", "-m", "4", "-n", "3", "--format", "svg"),
+], ids=["diagram-svg", "recognize-out", "derive-format", "generate-format",
+        "subst-format", "recognize-format", "verify-format", "surface-format",
+        "trace-format", "farey-format"])
+def test_options_a_command_ignores_are_rejected(args, capsys):
+    # each subcommand takes only the options it acts on; SVG output has
+    # the one switch --svg
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: unrecognized arguments" in err or "invalid choice" in err
+
+
 def test_recognize_a_sector_n_word():
     # sector n of M(4,3) is sector 0 traversed backwards
     theta = math.pi + 0.7

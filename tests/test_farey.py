@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _branch_matrix,
-                              direction_from_itinerary, farey_F, farey_F_cot,
-                              farey_FF, ff_branches, gamma, gamma_factors,
-                              itinerary, reflection, subsectors)
+                              direction_from_itinerary, farey_F, farey_FF,
+                              ff_branches, gamma, itinerary, reflection,
+                              subsectors)
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 
@@ -22,13 +22,8 @@ def test_gamma_regression():
     assert np.abs(gamma(4, 3) - GAMMA_43).max() < 1e-12
 
 
-def test_gamma_factors_compose():
+def test_gamma_reverses_orientation_and_keeps_area():
     for m, n in SMALL:
-        fs = gamma_factors(m, n)
-        prod = np.eye(2)
-        for f in fs:
-            prod = prod @ f
-        assert np.abs(prod - gamma(m, n)).max() < 1e-12
         assert abs(np.linalg.det(gamma(m, n)) + 1) < 1e-12
 
 
@@ -66,14 +61,6 @@ def test_sector_map_regression():
     pair, image2 = farey_FF(4, 3, math.pi / 8)
     assert pair == (3, 1)
     assert abs(image2 - 0.881036298635568) < 1e-12
-
-
-def test_cotangent_conjugate_matches_angles():
-    theta = 0.31
-    branch, image = farey_F(4, 3, theta)
-    b2, u = farey_F_cot(4, 3, 1 / math.tan(theta))
-    assert b2 == branch
-    assert abs(u - 1 / math.tan(image)) < 1e-9
 
 
 def test_subsectors_tile_the_standard_sector():
@@ -174,6 +161,27 @@ def test_recognition_is_bit_exact():
             digest.update(repr(out).encode())
     assert digest.hexdigest() == (
         "ac33b804733e1b3929a0b593c6b5f7f22b57542b609184347fbd60f0383acdfa")
+
+
+def test_farey_maps_are_bit_exact():
+    # farey_F and farey_FF at tol 0, to the last bit, for seeded directions
+    # in the standard sector and for every subsector and branch endpoint
+    # together with its two floating-point neighbours; on (6,5) an endpoint
+    # tells psi // step from floor(psi / step)
+    digest = hashlib.sha256()
+    rng = random.Random(2718)
+    for m, n in SMALL + [(3, 7), (7, 3), (6, 5)]:
+        thetas = [rng.uniform(0, math.pi / n) for _ in range(200)]
+        ends = [x for lo, hi in subsectors(m, n) for x in (lo, hi)]
+        ends += [x for lo, hi, _ in ff_branches(m, n).values() for x in (lo, hi)]
+        for x in ends:
+            thetas += [math.nextafter(x, -math.inf), x,
+                       math.nextafter(x, math.inf)]
+        for theta in thetas:
+            for fn in (farey_F, farey_FF):
+                digest.update(repr(fn(m, n, theta)).encode())
+    assert digest.hexdigest() == (
+        "059844133e39db19dfeb1dd92391e4e71485583bf2c86d02e30d39833a2384a1")
 
 
 def test_cached_matrices_do_not_alias_the_public_ones():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bouwmoller import surface
 from bouwmoller.surface import (NonPositiveShape, Polygon, build_surface,
-                                polygon_params, side_length_scale)
+                                polygon_params)
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 
@@ -164,13 +164,6 @@ def test_paired_edges_match_in_length_and_direction():
             l2 = surf.polygons[k2].edge_length(e2)
             assert l1 > 0 and abs(l1 - l2) < 1e-9
             assert e1 % (2 * n) != e2 % (2 * n) or k1 != k2
-
-
-def test_normalizing_scale():
-    assert abs(side_length_scale(4, 3) - math.sqrt(2 * math.sqrt(6) / 3)) < 1e-12
-    for m, n in SMALL:
-        want = 1 / math.sqrt(math.sin(math.pi / m) * math.sin(math.pi / n))
-        assert abs(side_length_scale(m, n) - want) < 1e-12
 
 
 def test_json_round_trip():
