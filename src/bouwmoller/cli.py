@@ -12,12 +12,10 @@ import random
 import sys
 import time
 
-import numpy as np
-
 from .diagrams import (NotAdmissible, NotChained, arrow_alphabet,
                        admissible_in, build_D0, build_T0, build_Ti,
                        sector_permutation, t0_grid)
-from .farey import (BoundaryOrbit, NoConvergence, DomainError, _angle,
+from .farey import (BoundaryOrbit, NoConvergence, DomainError, _angle, _apply,
                     ff_branches, farey_F, farey_FF, gamma, itinerary,
                     direction_from_itinerary, reflection, subsectors)
 from .hooper import build_hooper, moduli
@@ -116,12 +114,6 @@ def _canon(obj):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canon(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return _num(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -258,9 +250,9 @@ def check_permutation_goldens():
             got = sector_permutation(m, n, i)
             if tuple(got[k] for k in range(1, len(table) + 1)) != table:
                 bad.append([m, n, i])
-    dev = 0.0
-    for i, mat in enumerate(GOLDEN_RHO_43):
-        dev = max(dev, float(np.abs(reflection(4, 3, i) - np.array(mat)).max()))
+    dev = max(abs(x - y) for i, mat in enumerate(GOLDEN_RHO_43)
+              for row, want in zip(reflection(4, 3, i), mat)
+              for x, y in zip(row, want))
     ok = not bad and dev < 1e-12
     return {"name": "permutation-goldens",
             "status": "pass" if ok else "fail",
@@ -309,12 +301,17 @@ def check_moduli():
             "_runtime_s": dt}
 
 
-def check_traced_windows(m, n, trials=200, seed=7, depth=6, window=420):
+WINDOW = 420  # crossings traced per trial
+DEPTH = 6  # derivatives taken of each traced window
+RECOGNITION_DEPTH, RECOGNITION_TOL = 25, 1e-6  # branch pairs, radians
+
+
+def check_traced_windows(m, n, trials=200, seed=7):
     """Deep derivability and itinerary agreement on the same traced windows.
 
     Each trial traces a window from a random direction and interior start,
-    derives it depth times and computes the Farey itinerary of the
-    direction.  Returns two reports: every depth-k derivative sequence stays
+    derives it DEPTH times and computes the Farey itinerary of the
+    direction.  Returns two reports: every DEPTH-k derivative sequence stays
     among the admissible words, and the sectors of the derivatives equal the
     itinerary wherever they are unambiguous.
     """
@@ -330,19 +327,19 @@ def check_traced_windows(m, n, trials=200, seed=7, depth=6, window=420):
             continue
         start = _interior_point(surf, rng)
         try:
-            labels = list(trace(surf, start, theta, window).labels)
+            labels = list(trace(surf, start, theta, WINDOW).labels)
         except VertexHit:
             skipped["vertex"] += 1
             continue
         try:
-            seq = derivative_sequence(m, n, labels, depth)
+            seq = derivative_sequence(m, n, labels, DEPTH)
         except NotAdmissible:
             seq = None
         except ValueError:
             skipped["short"] += 1
             continue
         try:
-            itin = itinerary(m, n, theta, depth // 2)
+            itin = itinerary(m, n, theta, DEPTH // 2)
         except BoundaryOrbit:
             skipped["boundary"] += 1
             continue
@@ -352,7 +349,7 @@ def check_traced_windows(m, n, trials=200, seed=7, depth=6, window=420):
             mismatches += 1
             continue
         words, secs, amb = seq
-        if len(words) != depth + 1 or any(len(w) < 1 for w in words):
+        if len(words) != DEPTH + 1 or any(len(w) < 1 for w in words):
             failures += 1
         if any(amb):
             ambiguous += 1
@@ -364,8 +361,8 @@ def check_traced_windows(m, n, trials=200, seed=7, depth=6, window=420):
     derivability = {
         "name": "infinite-derivability", "surface": [m, n],
         "status": "pass" if failures == 0 else "fail",
-        "trials": trials, "failures": failures, "depth": depth,
-        "window": window, "skipped": skipped, "_runtime_s": dt}
+        "trials": trials, "failures": failures, "depth": DEPTH,
+        "window": WINDOW, "skipped": skipped, "_runtime_s": dt}
     agreement = {
         "name": "itinerary-agreement", "surface": [m, n],
         "status": "pass" if mismatches == 0 else "fail",
@@ -375,7 +372,7 @@ def check_traced_windows(m, n, trials=200, seed=7, depth=6, window=420):
     return derivability, agreement
 
 
-def check_geometric_oracle(m, n, trials=100, seed=7, window=420):
+def check_geometric_oracle(m, n, trials=100, seed=7):
     """derive(w) is the cutting sequence of a trajectory on the dual surface
     in the image direction.
 
@@ -397,12 +394,12 @@ def check_geometric_oracle(m, n, trials=100, seed=7, window=420):
             continue
         start = _interior_point(surf, rng)
         try:
-            labels = list(trace(surf, start, theta, window).labels)
+            labels = list(trace(surf, start, theta, WINDOW).labels)
         except VertexHit:
             redraws += 1
             continue
         derived = derive(m, n, labels)
-        image = _angle(g @ np.array([math.cos(theta), math.sin(theta)]))
+        image = _angle(_apply(g, (math.cos(theta), math.sin(theta))))
         words.append((image, derived))
         found = _cylinder(dual, derived, image)
         if found is None:
@@ -480,11 +477,10 @@ def check_conjugacy(trials=1000, seed=7):
             "failures": failures, "_runtime_s": dt}
 
 
-def check_direction_recognition(m, n, trials=100, seed=7, depth=25,
-                                tol=1e-6):
-    """Round trip direction -> itinerary -> direction within tol.
+def check_direction_recognition(m, n, trials=100, seed=7):
+    """Round trip direction -> itinerary -> direction within RECOGNITION_TOL.
 
-    Draws whose depth-k itinerary does not determine the direction to tol
+    Draws whose itinerary does not determine the direction that closely
     (certified by the nested-interval width) are redrawn and counted."""
     t0 = time.perf_counter()
     rng = _rng(seed, "recognition", m, n)
@@ -494,14 +490,15 @@ def check_direction_recognition(m, n, trials=100, seed=7, depth=25,
     while done < trials:
         theta = rng.uniform(0, 2 * math.pi)
         try:
-            itin = itinerary(m, n, theta, depth)
-            rec = direction_from_itinerary(m, n, itin.b0, itin.pairs, tol=tol)
+            itin = itinerary(m, n, theta, RECOGNITION_DEPTH)
+            rec = direction_from_itinerary(m, n, itin.b0, itin.pairs,
+                                           tol=RECOGNITION_TOL)
         except (BoundaryOrbit, NoConvergence):
             redraws += 1
             continue
         err = abs(rec - theta)
         worst = max(worst, err)
-        if err >= tol:
+        if err >= RECOGNITION_TOL:
             failures += 1
         done += 1
     dt = time.perf_counter() - t0
@@ -509,7 +506,8 @@ def check_direction_recognition(m, n, trials=100, seed=7, depth=25,
             "status": "pass" if failures == 0 else "fail",
             "trials": trials, "failures": failures,
             "quarantined_redraws": redraws, "max_error": worst,
-            "depth": depth, "tol": tol, "_runtime_s": dt}
+            "depth": RECOGNITION_DEPTH, "tol": RECOGNITION_TOL,
+            "_runtime_s": dt}
 
 
 def check_periodic_fixed_points():
@@ -608,6 +606,8 @@ def cmd_surface(args):
 def cmd_trace(args):
     if args.crossings < 1:
         raise SystemExit2(f"--crossings must be at least 1, got {args.crossings}")
+    if args.svg and not args.out:
+        raise SystemExit2("trace --svg needs --out")
     surf = build_surface(args.m, args.n)
     theta = _parse_angle(args.theta)
     if args.start:
@@ -669,13 +669,15 @@ def cmd_generate(args):
 
 def cmd_subst(args):
     _require_renorm_params(args.m, args.n)
+    if args.word and args.out:
+        raise SystemExit2("subst --word prints its image; --out is for the table")
     if args.j is None:
         table = pseudo_substitution(args.m, args.n, args.i)
         kind = "pseudo-substitution"
     else:
         table = substitution(args.m, args.n, args.i, args.j)
         kind = "substitution"
-    if args.table or not args.word:
+    if not args.word:
         data = {"m": args.m, "n": args.n, "i": args.i, "j": args.j,
                 "kind": kind,
                 "table": {k: list(v) for k, v in table.items()}}
@@ -697,7 +699,12 @@ def cmd_subst(args):
 def cmd_farey(args):
     _require_renorm_params(args.m, args.n)
     m, n = args.m, args.n
+    if args.theta is None and args.depth is not None:
+        raise SystemExit2("farey --depth needs --theta")
     if args.theta is not None:
+        if args.out or args.svg:
+            raise SystemExit2("farey --theta prints its result; it takes no "
+                              "--out or --svg")
         theta = _parse_angle(args.theta)
         branch, image = farey_F(m, n, theta)
         data = {"theta": theta, "F": {"branch": branch, "image": image}}
@@ -724,8 +731,9 @@ def cmd_farey(args):
     return 0
 
 
-def _farey_svg(m, n, width=480, samples=160):
+def _farey_svg(m, n):
     """Graph of the two-step Farey map as one polyline per branch."""
+    width, samples = 480, 160  # pixels, points per branch
     span = math.pi / n
     sc = width / span
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -796,6 +804,8 @@ def cmd_recognize(args):
 
 def cmd_verify(args):
     if args.all_small:
+        if args.m is not None or args.n is not None:
+            raise SystemExit2("verify --all-small takes no -m or -n")
         surfaces = list(SMALL_SET)
     elif args.m and args.n:
         surfaces = [(args.m, args.n)]
@@ -817,6 +827,8 @@ def cmd_verify(args):
 
 def cmd_diagram(args):
     if args.hooper:
+        if args.format == "json":
+            raise SystemExit2("diagram --hooper writes DOT only")
         text = build_hooper(args.m, args.n).to_dot()
         _emit(args, f"hooper_m{args.m}n{args.n}.dot", text)
         return 0
@@ -824,8 +836,9 @@ def cmd_diagram(args):
         diagram = build_D0(args.m, args.n)
         stem = f"d0_m{args.m}n{args.n}"
     else:
-        diagram = build_Ti(args.m, args.n, args.sector)
-        stem = f"t{args.sector}_m{args.m}n{args.n}"
+        sector = args.sector or 0
+        diagram = build_Ti(args.m, args.n, sector)
+        stem = f"t{sector}_m{args.m}n{args.n}"
     if args.format == "dot":
         _emit(args, f"{stem}.dot", diagram.to_dot())
     else:
@@ -881,8 +894,9 @@ def _build_parser():
     common(p)
     p.add_argument("-i", type=int, required=True)
     p.add_argument("-j", type=int)
-    p.add_argument("--table", action="store_true", help="print the table")
-    p.add_argument("--word", help="arrow names to substitute")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--table", action="store_true", help="print the table")
+    what.add_argument("--word", help="arrow names to substitute")
     p.set_defaults(fn=cmd_subst)
 
     p = sub.add_parser("farey", help="Farey map data and plots")
@@ -894,8 +908,9 @@ def _build_parser():
 
     p = sub.add_parser("recognize", help="direction from an itinerary")
     common(p, out=False)
-    p.add_argument("--itinerary", help="flat list b0,a1,b1,...")
-    p.add_argument("--word", help="recover the itinerary from this word")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--itinerary", help="flat list b0,a1,b1,...")
+    given.add_argument("--word", help="recover the itinerary from this word")
     p.add_argument("--depth", type=int, default=8,
                    help="derivation depth when using --word")
     p.add_argument("--tol", type=float, default=1e-6)
@@ -903,10 +918,12 @@ def _build_parser():
 
     p = sub.add_parser("diagram", help="transition/derivation/Hooper diagrams")
     common(p)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("-i", "--sector", type=int, default=0)
-    p.add_argument("--derivation", action="store_true")
-    p.add_argument("--hooper", action="store_true")
+    p.add_argument("--format", choices=("json", "dot"),
+                   help="json (default) or dot; --hooper writes dot")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("-i", "--sector", type=int, help="T_i (default 0)")
+    which.add_argument("--derivation", action="store_true")
+    which.add_argument("--hooper", action="store_true")
     p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("verify", help="run the acceptance checks")

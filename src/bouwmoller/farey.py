@@ -1,11 +1,10 @@
 """Projective renormalization of directions: flip-and-shear matrices, the
-piecewise linear-fractional Farey maps, itineraries, and direction recovery."""
+piecewise linear-fractional Farey maps, itineraries, and direction recovery.
+Matrices are tuples of row tuples, applied as a0*x + a1*y on every machine."""
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .tracer import sector_of
 
@@ -24,6 +23,7 @@ class NoConvergence(Exception):
     """Nested inverse branches failed to shrink below tolerance."""
 
 
+@lru_cache(maxsize=None)
 def gamma(m, n):
     """Linear part of the flip-and-shear map from M(m,n) to M(n,m).
 
@@ -31,43 +31,53 @@ def gamma(m, n):
     """
     sm, sn = math.sin(math.pi / m), math.sin(math.pi / n)
     cm, cn = math.cos(math.pi / m), math.cos(math.pi / n)
-    return np.array([[-math.sqrt(sn / sm), (cm + cn) / math.sqrt(sm * sn)],
-                     [0.0, math.sqrt(sm / sn)]])
+    return ((-math.sqrt(sn / sm), (cm + cn) / math.sqrt(sm * sn)),
+            (0.0, math.sqrt(sm / sn)))
 
 
+@lru_cache(maxsize=None)
 def reflection(m, n, i):
     """Matrix of the reflection taking sector i of M(m,n) to sector 0."""
     if not 0 <= i <= 2 * n - 1:
         raise ValueError(f"sector {i} out of range 0..{2 * n - 1}")
     if i == 0:
-        return np.eye(2)
+        return ((1.0, 0.0), (0.0, 1.0))
     phi = (i + 1) * math.pi / n
     c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, s], [s, -c]])
+    return ((c, s), (s, -c))
+
+
+def _apply(a, v):
+    """Matrix times vector."""
+    (a0, a1), (b0, b1) = a
+    x, y = v
+    return (a0 * x + a1 * y, b0 * x + b1 * y)
+
+
+def _mul(a, b):
+    """Matrix product a b, one column of b at a time."""
+    (p, q), (r, s) = b
+    x0, y0 = _apply(a, (p, r))
+    x1, y1 = _apply(a, (q, s))
+    return ((x0, x1), (y0, y1))
+
+
+def _adj(a):
+    """Adjugate: det(a) times the inverse, the same map on directions."""
+    (p, q), (r, s) = a
+    return ((s, -q), (-r, p))
 
 
 def _upper(v):
     """Representative of the projective class in the closed upper half plane."""
     if v[1] < 0 or (v[1] == 0 and v[0] < 0):
-        return -v
+        return (-v[0], -v[1])
     return v
 
 
 def _angle(v):
     v = _upper(v)
     return math.atan2(v[1], v[0])
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-@lru_cache(maxsize=None)
-def _step_matrices(m, n):
-    """gamma(m, n) and reflection(n, m, a) for a = 0..m-1, read-only."""
-    return (_read_only(gamma(m, n)),
-            tuple(_read_only(reflection(n, m, a)) for a in range(m)))
 
 
 def _f_step(m, n, v, tol):
@@ -79,23 +89,23 @@ def _f_step(m, n, v, tol):
     standard sector.  Returns (a, normalized image vector, boundary flag);
     the flag marks psi within tol of either bound of sector a.
     """
-    g, refl = _step_matrices(m, n)
-    w = _upper(g @ v)
+    w = _upper(_apply(gamma(m, n), v))
     psi = math.atan2(w[1], w[0])
     step = math.pi / m
     if psi < 0.5 * step:
         psi += math.pi
     a = min(max(int(psi // step), 1), m - 1)
     on_boundary = min(abs(psi - a * step), abs(psi - (a + 1) * step)) < tol
-    out = _upper(refl[a] @ w)
-    return a, out / np.hypot(out[0], out[1]), on_boundary
+    x, y = _upper(_apply(reflection(n, m, a), w))
+    r = math.hypot(x, y)
+    return a, (x / r, y / r), on_boundary
 
 
 def farey_F(m, n, theta):
     """Normalized projective step in angle coordinates: (dual sector, angle)."""
     if not -EPS_DYN <= theta <= math.pi / n + EPS_DYN:
         raise DomainError(f"theta {theta} outside [0, pi/{n}]")
-    v = np.array([math.cos(theta), math.sin(theta)])
+    v = (math.cos(theta), math.sin(theta))
     a, out, _ = _f_step(m, n, v, 0.0)
     psi = _angle(out)
     if psi > 0.5 * math.pi:
@@ -117,12 +127,11 @@ def subsectors(m, n):
     flip-and-shear action into sector j of M(n,m), for j = 1..m-1; the
     intervals tile [0, pi/n] in decreasing j order.
     """
-    ginv = np.linalg.inv(gamma(m, n))
+    back = _adj(gamma(m, n))
     cuts = []
     for j in range(m + 1):
         psi = j * math.pi / m
-        th = _angle(ginv @ np.array([math.cos(psi), math.sin(psi)]))
-        cuts.append(th)
+        cuts.append(_angle(_apply(back, (math.cos(psi), math.sin(psi)))))
     out = []
     for j in range(1, m):
         lo, hi = sorted((cuts[j], cuts[j + 1]))
@@ -132,13 +141,8 @@ def subsectors(m, n):
 
 @lru_cache(maxsize=None)
 def _branch_matrix(m, n, a, b):
-    return _read_only(reflection(m, n, b) @ gamma(n, m)
-                      @ reflection(n, m, a) @ gamma(m, n))
-
-
-@lru_cache(maxsize=None)
-def _branch_inverse(m, n, a, b):
-    return _read_only(np.linalg.inv(_branch_matrix(m, n, a, b)))
+    return _mul(_mul(_mul(reflection(m, n, b), gamma(n, m)),
+                     reflection(n, m, a)), gamma(m, n))
 
 
 def ff_branches(m, n):
@@ -150,13 +154,10 @@ def ff_branches(m, n):
     duals = subsectors(n, m)
     out = {}
     for a in range(1, m):
-        back = np.linalg.inv(reflection(n, m, a) @ gamma(m, n))
+        back = _adj(_mul(reflection(n, m, a), gamma(m, n)))
         for b in range(1, n):
-            angs = []
-            for end in duals[b - 1]:
-                v = back @ np.array([math.cos(end), math.sin(end)])
-                angs.append(_angle(v))
-            lo, hi = sorted(angs)
+            lo, hi = sorted(_angle(_apply(back, (math.cos(e), math.sin(e))))
+                            for e in duals[b - 1])
             out[(a, b)] = (lo, hi, _branch_matrix(m, n, a, b))
     return out
 
@@ -182,9 +183,9 @@ def itinerary(m, n, theta, k):
     b0, on_boundary = sector_of(theta, n, tol=EPS_DYN)
     if on_boundary:
         raise BoundaryOrbit(f"direction {theta} on a sector boundary")
-    v = np.array([math.cos(theta), math.sin(theta)])
+    v = (math.cos(theta), math.sin(theta))
     # Sector n is sector 0 traversed backwards (see renorm.normalize).
-    v = _upper(reflection(m, n, 0 if b0 == n else b0) @ v)
+    v = _upper(_apply(reflection(m, n, 0 if b0 == n else b0), v))
     pairs = []
     for _ in range(k):
         a, v, bad = _f_step(m, n, v, EPS_DYN)
@@ -211,13 +212,13 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
     for a, b in pairs:
         if not (1 <= a <= m - 1 and 1 <= b <= n - 1):
             raise ValueError(f"branch pair ({a}, {b}) out of range")
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([math.cos(math.pi / n), math.sin(math.pi / n)])
-    mat = np.eye(2)
+    e1 = (math.cos(math.pi / n), math.sin(math.pi / n))
+    mat = ((1.0, 0.0), (0.0, 1.0))
     for a, b in pairs:
-        mat = mat @ _branch_inverse(m, n, a, b)
-        mat = mat / np.abs(mat).max()
-    lo, hi = sorted((_angle(mat @ e0), _angle(mat @ e1)))
+        mat = _mul(mat, _adj(_branch_matrix(m, n, a, b)))
+        top = max(abs(x) for row in mat for x in row)
+        mat = tuple((x / top, y / top) for x, y in mat)
+    lo, hi = sorted((_angle(_apply(mat, (1.0, 0.0))), _angle(_apply(mat, e1))))
     if hi - lo >= tol:
         raise NoConvergence(
             f"interval width {hi - lo:.3e} above tol {tol} "

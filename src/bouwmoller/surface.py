@@ -216,8 +216,9 @@ class Surface:
         }
         return json.dumps(data, sort_keys=True, indent=indent)
 
-    def to_svg(self, segments=(), width=640):
+    def to_svg(self, segments=()):
         """SVG picture of the polygon chain, with optional overlay segments."""
+        width = 640  # pixels
         xs0 = min(p.bounds()[0] for p in self.polygons)
         ys0 = min(p.bounds()[1] for p in self.polygons)
         xs1 = max(p.bounds()[2] for p in self.polygons)

@@ -129,12 +129,28 @@ def test_trace_report_schema(tmp_path):
      "verify does not support m and n both even, got (4, 4)"),
     (("recognize", "-m", "4", "-n", "3", "--word", "1,6,7,8", "--depth", "-3"),
      "--depth must be at least 1, got -3"),
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.35", "--svg"),
+     "trace --svg needs --out"),
+    (("farey", "-m", "4", "-n", "3", "--theta", "0.35", "--out", "x"),
+     "farey --theta prints its result"),
+    (("farey", "-m", "4", "-n", "3", "--theta", "0.35", "--svg"),
+     "farey --theta prints its result"),
+    (("farey", "-m", "4", "-n", "3", "--depth", "3"),
+     "farey --depth needs --theta"),
+    (("subst", "-m", "4", "-n", "3", "-i", "1", "--word", "r1", "--out", "x"),
+     "subst --word prints its image"),
+    (("diagram", "-m", "4", "-n", "3", "--hooper", "--format", "json"),
+     "diagram --hooper writes DOT only"),
+    (("verify", "-m", "4", "--all-small"),
+     "verify --all-small takes no -m or -n"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
         "verify-zero-trials", "verify-negative-trials", "start-without-y",
         "start-not-finite", "itinerary-not-integers", "verify-both-even",
-        "recognize-negative-depth"])
+        "recognize-negative-depth", "trace-svg-without-out", "farey-theta-out",
+        "farey-theta-svg", "farey-depth-without-theta", "subst-word-out",
+        "diagram-hooper-json", "verify-all-small-and-m"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
@@ -156,18 +172,40 @@ def test_bad_arguments_are_usage_errors(args, message):
     ("surface", "-m", "4", "-n", "3", "--format", "svg"),
     ("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--format", "svg"),
     ("farey", "-m", "4", "-n", "3", "--format", "svg"),
+    ("subst", "-m", "4", "-n", "3", "-i", "1", "--table", "--word", "r1"),
+    ("diagram", "-m", "4", "-n", "3", "--hooper", "-i", "2"),
+    ("diagram", "-m", "4", "-n", "3", "--derivation", "-i", "2"),
+    ("diagram", "-m", "4", "-n", "3", "--hooper", "--derivation"),
+    ("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2",
+     "--word", "1,6"),
 ], ids=["diagram-svg", "recognize-out", "derive-format", "generate-format",
         "subst-format", "recognize-format", "verify-format", "surface-format",
-        "trace-format", "farey-format"])
+        "trace-format", "farey-format", "subst-table-and-word",
+        "diagram-hooper-and-sector", "diagram-derivation-and-sector",
+        "diagram-hooper-and-derivation", "recognize-itinerary-and-word"])
 def test_options_a_command_ignores_are_rejected(args, capsys):
-    # each subcommand takes only the options it acts on; SVG output has
-    # the one switch --svg
+    # each subcommand takes only the options it acts on, and of the options
+    # that choose what to do only one; SVG output has the one switch --svg
     with pytest.raises(SystemExit) as exc:
         main(list(args))
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error: unrecognized arguments" in err or "invalid choice" in err
+    assert ("error: unrecognized arguments" in err or "invalid choice" in err
+            or "not allowed with argument" in err)
+
+
+def test_the_package_runs_without_numpy():
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from bouwmoller.cli import main\n"
+            "codes = [main(['verify', '-m', '4', '-n', '3', '--trials', '3']),\n"
+            "         main(['farey', '-m', '4', '-n', '3'])]\n"
+            "sys.exit(0 if codes == [0, 0] else 1)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert '"status": "pass"' in r.stdout
 
 
 def test_recognize_a_sector_n_word():

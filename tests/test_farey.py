@@ -7,10 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _branch_matrix,
-                              direction_from_itinerary, farey_F, farey_FF,
-                              ff_branches, gamma, itinerary, reflection,
-                              subsectors)
+from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _adj, _apply,
+                              _branch_matrix, _mul, direction_from_itinerary,
+                              farey_F, farey_FF, ff_branches, gamma, itinerary,
+                              reflection, subsectors)
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 
@@ -50,7 +50,7 @@ def test_reflection_matrices_for_n3():
 def test_reflections_are_involutions():
     for m, n in SMALL:
         for i in range(2 * n):
-            rho = reflection(m, n, i)
+            rho = np.array(reflection(m, n, i))
             assert np.abs(rho @ rho - np.eye(2)).max() < 1e-12
 
 
@@ -160,7 +160,7 @@ def test_recognition_is_bit_exact():
                 out = type(exc).__name__
             digest.update(repr(out).encode())
     assert digest.hexdigest() == (
-        "ac33b804733e1b3929a0b593c6b5f7f22b57542b609184347fbd60f0383acdfa")
+        "936e19eef5cceb5dd36bb454cfbf07b4919732166325f782b1957fe21ba24433")
 
 
 def test_farey_maps_are_bit_exact():
@@ -181,17 +181,33 @@ def test_farey_maps_are_bit_exact():
             for fn in (farey_F, farey_FF):
                 digest.update(repr(fn(m, n, theta)).encode())
     assert digest.hexdigest() == (
-        "059844133e39db19dfeb1dd92391e4e71485583bf2c86d02e30d39833a2384a1")
+        "9ae9e0cb3e6518724afb1f37aa2338ea6820712c1bd5889ba3312373653500d6")
 
 
 def test_cached_matrices_do_not_alias_the_public_ones():
+    # the cached matrices are the public ones, so they must be immutable
     theta = 13 * math.pi / 180
     before = itinerary(4, 3, theta, 10)
-    gamma(4, 3)[:] = 0.0
-    reflection(4, 3, 1)[:] = 0.0
+    _, _, mat = ff_branches(4, 3)[(1, 1)]
+    for public in (gamma(4, 3), reflection(4, 3, 1), mat):
+        with pytest.raises(TypeError):
+            public[0] = (0.0, 0.0)
+        with pytest.raises(TypeError):
+            public[0][0] = 0.0
     assert itinerary(4, 3, theta, 10) == before
     assert abs(direction_from_itinerary(4, 3, 0, before.pairs, tol=1e-3)
                - theta) < 1e-3
-    _, _, mat = ff_branches(4, 3)[(1, 1)]
-    with pytest.raises(ValueError, match="read-only"):
-        mat[0, 0] = 0.0
+
+
+def test_matrix_arithmetic_matches_numpy():
+    # numpy is the reference for the 2x2 products, images and adjugates
+    v = (math.cos(0.3), math.sin(0.3))
+    for m, n in SMALL + [(3, 7), (7, 3)]:
+        mats = [_branch_matrix(m, n, a, b)
+                for a in range(1, m) for b in range(1, n)]
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            ref_a, ref_b = np.array(a), np.array(b)
+            assert np.abs(np.array(_mul(a, b)) - ref_a @ ref_b).max() < 1e-12
+            assert np.abs(np.array(_apply(a, v)) - ref_a @ v).max() < 1e-12
+            adj = np.linalg.det(ref_a) * np.linalg.inv(ref_a)
+            assert np.abs(np.array(_adj(a)) - adj).max() < 1e-12
