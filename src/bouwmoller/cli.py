@@ -8,6 +8,7 @@ bytes depend only on the arguments and the seed.
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -616,11 +617,12 @@ def cmd_trace(args):
         if not (0 <= k < args.m and surf.polygons[k].contains(p)):
             raise SystemExit2(f"start {args.start} is not inside polygon "
                               f"{k} of 0..{args.m - 1}")
-    elif args.through in surf.labels:
-        start = start_through(surf, args.through, theta)
     else:
-        raise SystemExit2(f"side {args.through} is not a label "
-                          f"1..{len(surf.labels)}")
+        through = 1 if args.through is None else args.through
+        if through not in surf.labels:
+            raise SystemExit2(f"side {through} is not a label "
+                              f"1..{len(surf.labels)}")
+        start = start_through(surf, through, theta)
     word = trace(surf, start, theta, args.crossings)
     print(",".join(str(x) for x in word.labels))
     data = {"m": args.m, "n": args.n, "direction": theta,
@@ -701,6 +703,8 @@ def cmd_farey(args):
     m, n = args.m, args.n
     if args.theta is None and args.depth is not None:
         raise SystemExit2("farey --depth needs --theta")
+    if args.depth is not None and args.depth < 1:
+        raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
     if args.theta is not None:
         if args.out or args.svg:
             raise SystemExit2("farey --theta prints its result; it takes no "
@@ -713,7 +717,7 @@ def cmd_farey(args):
             data["FF"] = {"branch": list(pair), "image": ff}
         except DomainError:
             pass
-        if args.depth:
+        if args.depth is not None:
             itin = itinerary(m, n, theta, args.depth)
             data["itinerary"] = {"b0": itin.b0,
                                  "pairs": [list(p) for p in itin.pairs]}
@@ -759,6 +763,9 @@ def cmd_recognize(args):
     _require_renorm_params(args.m, args.n)
     m, n = args.m, args.n
     if args.itinerary:
+        if args.depth is not None:
+            raise SystemExit2("recognize --depth is for --word; --itinerary "
+                              "gives the branches itself")
         usage = ("--itinerary must be integers b0,a1,b1[,a2,b2...], "
                  f"got {args.itinerary!r}")
         try:
@@ -771,9 +778,10 @@ def cmd_recognize(args):
         pairs = list(zip(rest[0::2], rest[1::2]))
     elif args.word:
         word = _parse_word(args.word)
-        if args.depth < 1:
-            raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
-        depth = args.depth if args.depth % 2 == 0 else args.depth + 1
+        depth = 8 if args.depth is None else args.depth
+        if depth < 1:
+            raise SystemExit2(f"--depth must be at least 1, got {depth}")
+        depth += depth % 2
         # derive only as deep as the word has letters for; the stage where
         # they run out is ambiguous, so the stop rule below applies to it
         for k in range(depth, -1, -1):
@@ -869,9 +877,10 @@ def _build_parser():
     p = sub.add_parser("trace", help="cutting sequence of a trajectory")
     common(p)
     p.add_argument("--theta", required=True, help="direction in radians")
-    p.add_argument("--start", help="start as POLY:X,Y")
-    p.add_argument("--through", type=int, default=1,
-                   help="start just behind this side (default 1)")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--start", help="start as POLY:X,Y")
+    where.add_argument("--through", type=int,
+                       help="start just behind this side (default 1)")
     p.add_argument("--crossings", type=int, default=64)
     p.add_argument("--svg", action="store_true",
                    help="with --out, also write the path as SVG")
@@ -911,8 +920,8 @@ def _build_parser():
     given = p.add_mutually_exclusive_group()
     given.add_argument("--itinerary", help="flat list b0,a1,b1,...")
     given.add_argument("--word", help="recover the itinerary from this word")
-    p.add_argument("--depth", type=int, default=8,
-                   help="derivation depth when using --word")
+    p.add_argument("--depth", type=int,
+                   help="derivation depth with --word (default 8)")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(fn=cmd_recognize)
 
@@ -949,7 +958,13 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what Python flushes at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SystemExit2, VertexHit, DomainError, BoundaryOrbit, NoConvergence,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

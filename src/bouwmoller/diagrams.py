@@ -1,7 +1,6 @@
 """Transition and derivation diagrams, sector permutations, admissibility."""
 
 import json
-import math
 from functools import lru_cache
 
 from .surface import build_surface
@@ -115,12 +114,6 @@ def build_D0(m, n):
     return DerivationDiagram(m, n, grid, labels)
 
 
-# Over 2 <= m <= 9, 3 <= n <= 9 and every sector, a reflected seat midpoint
-# lies within 2.1e-14 of the seat midpoint it matches and at least 6.7e-3
-# from every other one, so this tolerance has a wide margin on both sides.
-SEAT_TOL = 1e-9
-
-
 @lru_cache(maxsize=None)
 def sector_permutation(m, n, i):
     """Side permutation normalizing sector-i trajectories to sector 0.
@@ -128,16 +121,16 @@ def sector_permutation(m, n, i):
     The normalizing affine map reflects directions across the line at angle
     (i+1)pi/(2n).  It reflects each polygon k about its own centre across
     that line and then translates the image onto polygon k, or onto polygon
-    m-1-k when it reverses the chain.  Side s goes to side t when the image
-    of each seat midpoint of s lands, within SEAT_TOL, on exactly one seat
-    midpoint of t, and the result must send row r to row r (to row m - r
-    when i - n is even).  Each of the two polygon maps that gives such a
-    bijection is a candidate.  For m = 2 and n even both do in every sector
-    that has a normalization: the central symmetry of the surface fixes the
-    single row, no cutting sequence can tell the two apart, and the
-    lexicographically smallest is kept.  Raises ValueError when neither map
-    works, which happens in the even nonzero sectors whenever m and n are
-    both even.
+    m-1-k when it reverses the chain.  The reflection turns edge e, of
+    direction e*pi/n, into edge i+1+n-e (mod 2n) of the image polygon.
+    Side s goes to side t when each seat of s lands on a seat of t, and the
+    result must send row r to row r (to row m - r when i - n is even).  Each
+    of the two polygon maps that gives such a bijection is a candidate.
+    For m = 2 and n even both do in every sector that has a normalization:
+    the central symmetry of the surface fixes the single row, no cutting
+    sequence can tell the two apart, and the lexicographically smallest is
+    kept.  Raises ValueError when neither map works, which happens in the
+    even nonzero sectors whenever m and n are both even.
     """
     if not 0 <= i <= 2 * n - 1:
         raise ValueError(f"sector {i} out of range 0..{2 * n - 1}")
@@ -145,25 +138,15 @@ def sector_permutation(m, n, i):
     if i == 0:
         return {s: s for s in labels}
     surf = build_surface(m, n)
-    # cos and sin of twice the angle of the reflecting line
-    c2, s2 = math.cos((i + 1) * math.pi / n), math.sin((i + 1) * math.pi / n)
-    centres = [[sum(v) / (2 * n) for v in zip(*p.vertices)] for p in surf.polygons]
-    seats = [[] for _ in range(m)]  # per polygon: (seat midpoint, label)
-    for (k, e), s in surf.seat_label.items():
-        seats[k].append((surf.polygons[k].edge_midpoint(e), s))
     want_row = (lambda s: m - surf.row(s)) if (i - n) % 2 == 0 else surf.row
 
     def side_map(image):
         # the side bijection induced by sending polygon k to image(k), or None
         perm = {}
-        for k in range(m):
-            (ax, ay), (bx, by) = centres[k], centres[image(k)]
-            for (x, y), s in seats[k]:
-                x, y = x - ax, y - ay
-                q = (bx + c2 * x + s2 * y, by + s2 * x - c2 * y)
-                hits = [t for p, t in seats[image(k)] if math.dist(p, q) < SEAT_TOL]
-                if len(hits) != 1 or perm.setdefault(s, hits[0]) != hits[0]:
-                    return None
+        for (k, e), s in surf.seat_label.items():
+            t = surf.seat_label.get((image(k), (i + 1 + n - e) % (2 * n)))
+            if t is None or perm.setdefault(s, t) != t:
+                return None
         if (sorted(perm.values()) != list(labels)
                 or any(surf.row(perm[s]) != want_row(s) for s in labels)):
             return None

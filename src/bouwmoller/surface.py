@@ -3,8 +3,6 @@
 import json
 import math
 
-from .tracer import _exit, _exits
-
 
 class NonPositiveShape(ValueError):
     """Raised when side lengths give no semi-regular polygon with a positive side."""
@@ -150,21 +148,14 @@ class Surface:
                                          a2[0] - b[0], a2[1] - b[1])
 
     def _zigzag(self, k):
-        """Edge indices of polygon k's forward sides in zigzag label order."""
-        poly = self.polygons[k]
-        cls = forward_class(self.m, self.n, k)
-        order = [1 if cls == 1 else 0]
-        rays = [math.pi, math.pi / self.n] if cls == 1 else [math.pi / self.n, math.pi]
-        for j in range(self.n - 1):
-            ang = rays[j % 2]
-            d = (math.cos(ang), math.sin(ang))
-            p = poly.edge_midpoint(order[-1])
-            hit = _exit(_exits(self.edge_table[k], d), p, d)[0]
-            if hit % 2 != cls:
-                raise RuntimeError(f"zigzag ray of polygon {k} left the "
-                                   f"forward class at edge {hit}")
-            order.append(hit)
-        return order
+        """Edge indices of polygon k's forward sides in zigzag label order.
+
+        Entry j is the edge the ray from entry j-1 reaches: 2*ceil(j/2) edge
+        indices from entry 0, on alternate sides of it.
+        """
+        c = forward_class(self.m, self.n, k)
+        return [(c + (-1) ** (j + c + 1) * 2 * ((j + 1) // 2)) % (2 * self.n)
+                for j in range(self.n)]
 
     def _label_edges(self):
         sides = {}

@@ -3,11 +3,14 @@
 import math
 from bisect import bisect_right
 
+from .diagrams import sector_permutation, t0_grid
+from .surface import build_surface
+
 EPS_GEO = 1e-9
 # A direction d leaves a polygon by the edges e with d x e > EXIT_TOL, for
-# trace, the zigzag labelling, start_through and _cylinder alike.  Over
-# 2 <= m <= 11, 3 <= n <= 11 and the directions j*pi/(2n), parallel edges
-# give |d x e| at most 6.4e-15 and transverse ones at least 0.040.
+# trace, start_through and _cylinder alike.  Over 2 <= m <= 11, 3 <= n <= 11
+# and the directions j*pi/(2n), parallel edges give |d x e| at most 6.4e-15
+# and transverse ones at least 0.040.
 EXIT_TOL = 1e-12
 # How far behind its side, along the direction, a start point is placed.
 BACK = 1e-7
@@ -80,53 +83,45 @@ def _exits(edges, d):
     return [r[0] for r in rows], [r[1:] for r in rows]
 
 
-def _exit(table, p, d):
-    """Exit edge, ray parameter and hit point leaving a polygon from p along d.
-
-    table is _exits(edges, d) for the polygon; the exit edge is the row
-    whose h-range holds h(p).  A t <= 0 there puts p within rounding of a
-    side nearly parallel to d, which the ray grazes into the neighbouring
-    exit edge (the next row if d . e > 0, else the one before): a VertexHit.
-    """
-    hs, rows = table
-    px, py = p
-    dx, dy = d
-    j = max(bisect_right(hs, dx * py - dy * px) - 1, 0)
-    i, ax, ay, ex, ey, bx, by, den = rows[j]
-    t = ((ax - px) * ey - (ay - py) * ex) / den
-    along = t <= 0
-    if along:
-        j += 1 if dx * ex + dy * ey > 0 else -1
-        if not 0 <= j < len(rows):
-            raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-        i, ax, ay, ex, ey, bx, by, den = rows[j]
-        t = ((ax - px) * ey - (ay - py) * ex) / den
-    q = (px + t * dx, py + t * dy)
-    if (math.hypot(q[0] - ax, q[1] - ay) < EPS_GEO
-            or math.hypot(q[0] - bx, q[1] - by) < EPS_GEO):
-        raise VertexHit(f"hit vertex of edge {i} at {q}")
-    if along:
-        raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-    return i, t, q
-
-
 def trace(surf, start, direction, max_crossings):
     """Cutting sequence of the trajectory from start in the given direction.
 
     start is a pair (polygon index, point).  Raises VertexHit if the start
     lies more than EPS_GEO outside its polygon, or if the trajectory passes
     within EPS_GEO of a vertex; the caller may perturb the start and retry.
+
+    In each polygon the exit edge is the row of its exit table whose
+    h-range holds h(p).  A t <= 0 there puts p within rounding of a side
+    nearly parallel to d, which the ray grazes into the neighbouring exit
+    edge (the next row if d . e > 0, else the one before): a VertexHit.
     """
     k, p = start
     if not surf.polygons[k].contains(p, tol=EPS_GEO):
         raise VertexHit(f"start {p} lies outside polygon {k}")
-    d = (math.cos(direction), math.sin(direction))
+    dx, dy = d = (math.cos(direction), math.sin(direction))
     tables = [_exits(edges, d) for edges in surf.edge_table]
     glue = surf.glue_table
     labels, crossings = [], []
     t_acc = 0.0
     for _ in range(max_crossings):
-        e, t, q = _exit(tables[k], p, d)
+        hs, rows = tables[k]
+        px, py = p
+        j = max(bisect_right(hs, dx * py - dy * px) - 1, 0)
+        e, ax, ay, ex, ey, bx, by, den = rows[j]
+        t = ((ax - px) * ey - (ay - py) * ex) / den
+        along = t <= 0
+        if along:
+            j += 1 if dx * ex + dy * ey > 0 else -1
+            if not 0 <= j < len(rows):
+                raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
+            e, ax, ay, ex, ey, bx, by, den = rows[j]
+            t = ((ax - px) * ey - (ay - py) * ex) / den
+        q = (px + t * dx, py + t * dy)
+        if (math.hypot(q[0] - ax, q[1] - ay) < EPS_GEO
+                or math.hypot(q[0] - bx, q[1] - by) < EPS_GEO):
+            raise VertexHit(f"hit vertex of edge {e} at {q}")
+        if along:
+            raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
         t_acc += t
         label, k2, _, sx, sy = glue[k][e]
         labels.append(label)
@@ -206,21 +201,18 @@ def realize_periodic(m, n, n1, n2):
     NotCoAdjacent otherwise, and VertexHit if no trajectory in that
     direction crosses n1, n2, n1, ... .
     """
-    from . import diagrams
-    from .surface import build_surface
-
     surf = build_surface(m, n)
     if surf.row(n1) != surf.row(n2):
         raise NotCoAdjacent(f"sides {n1}, {n2} lie in different rows")
     found = None
     for i in range(n):
         try:
-            perm = diagrams.sector_permutation(m, n, i)
+            perm = sector_permutation(m, n, i)
         except ValueError:
             continue
         u1, u2 = perm[n1], perm[n2]
         r = surf.row(u1)
-        grid_row = diagrams.t0_grid(m, n)[r - 1]
+        grid_row = t0_grid(m, n)[r - 1]
         if abs(grid_row.index(u1) - grid_row.index(u2)) == 1:
             found = (i, u1, u2, r, grid_row)
             break

@@ -1,5 +1,6 @@
 """Command-line behavior: goldens, exit codes, deterministic reports."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -143,6 +144,10 @@ def test_trace_report_schema(tmp_path):
      "diagram --hooper writes DOT only"),
     (("verify", "-m", "4", "--all-small"),
      "verify --all-small takes no -m or -n"),
+    (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--depth", "3"),
+     "recognize --depth is for --word"),
+    (("farey", "-m", "4", "-n", "3", "--theta", "0.35", "--depth", "0"),
+     "--depth must be at least 1, got 0"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
@@ -150,7 +155,8 @@ def test_trace_report_schema(tmp_path):
         "start-not-finite", "itinerary-not-integers", "verify-both-even",
         "recognize-negative-depth", "trace-svg-without-out", "farey-theta-out",
         "farey-theta-svg", "farey-depth-without-theta", "subst-word-out",
-        "diagram-hooper-json", "verify-all-small-and-m"])
+        "diagram-hooper-json", "verify-all-small-and-m",
+        "recognize-itinerary-depth", "farey-zero-depth"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
@@ -178,11 +184,14 @@ def test_bad_arguments_are_usage_errors(args, message):
     ("diagram", "-m", "4", "-n", "3", "--hooper", "--derivation"),
     ("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2",
      "--word", "1,6"),
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.35", "--start", "1:1.5,0.7",
+     "--through", "5"),
 ], ids=["diagram-svg", "recognize-out", "derive-format", "generate-format",
         "subst-format", "recognize-format", "verify-format", "surface-format",
         "trace-format", "farey-format", "subst-table-and-word",
         "diagram-hooper-and-sector", "diagram-derivation-and-sector",
-        "diagram-hooper-and-derivation", "recognize-itinerary-and-word"])
+        "diagram-hooper-and-derivation", "recognize-itinerary-and-word",
+        "trace-start-and-through"])
 def test_options_a_command_ignores_are_rejected(args, capsys):
     # each subcommand takes only the options it acts on, and of the options
     # that choose what to do only one; SVG output has the one switch --svg
@@ -193,6 +202,19 @@ def test_options_a_command_ignores_are_rejected(args, capsys):
     assert out == ""
     assert ("error: unrecognized arguments" in err or "invalid choice" in err
             or "not allowed with argument" in err)
+
+
+def test_a_closed_pipe_ends_quietly():
+    # the reader stops after a few bytes, as `| head -c 10` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bouwmoller.cli", "trace", "-m", "4", "-n", "3",
+         "--theta", "0.35", "--crossings", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"1,6,7,8,5,"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=600) == 1
+    assert err == b""
 
 
 def test_the_package_runs_without_numpy():
@@ -266,6 +288,14 @@ def test_verify_reports_are_byte_deterministic():
     names = [c["name"] for c in report["checks"]]
     assert len(names) == 12
     assert not any(k.startswith("_") for c in report["checks"] for k in c)
+
+
+def test_verify_report_is_pinned(capsys):
+    # the whole report, across runs and changes that keep its behaviour
+    assert main(["verify", "--all-small", "--seed", "1", "--trials", "20"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bf6b9f53d861e3f19a9dc3d0c68971df6050a4866c5dff5e5ed745498b9bf4d7")
 
 
 def test_verify_requires_a_target():

@@ -74,6 +74,68 @@ def test_permuted_grid_rows_are_the_sector_grid():
             assert build_Ti(m, n, i).grid == want
 
 
+def reflected_candidates(m, n, i):
+    """Side permutations of sector i found by reflecting seat midpoints.
+
+    Each polygon k is reflected about its centre across the line at angle
+    (i+1)pi/(2n) and translated onto polygon k, or onto polygon m-1-k; a
+    candidate sends every side to the side whose seat midpoints the images
+    of its own hit, within 1e-9, and sends row r to row r (to row m - r
+    when i - n is even).  Sector 0 needs no normalization.
+    """
+    surf = build_surface(m, n)
+    labels = list(surf.labels)
+    if i == 0:
+        return [{s: s for s in labels}]
+    c2, s2 = math.cos((i + 1) * math.pi / n), math.sin((i + 1) * math.pi / n)
+    centres = [[sum(v) / (2 * n) for v in zip(*p.vertices)] for p in surf.polygons]
+    seats = [[] for _ in range(m)]
+    for (k, e), s in surf.seat_label.items():
+        seats[k].append((surf.polygons[k].edge_midpoint(e), s))
+    want_row = (lambda s: m - surf.row(s)) if (i - n) % 2 == 0 else surf.row
+    candidates = []
+    for image in (lambda k: k, lambda k: m - 1 - k):
+        perm = {}
+        for k in range(m):
+            (ax, ay), (bx, by) = centres[k], centres[image(k)]
+            for (x, y), s in seats[k]:
+                x, y = x - ax, y - ay
+                q = (bx + c2 * x + s2 * y, by + s2 * x - c2 * y)
+                hits = [t for p, t in seats[image(k)] if math.dist(p, q) < 1e-9]
+                if len(hits) != 1 or perm.setdefault(s, hits[0]) != hits[0]:
+                    perm = None
+                    break
+            if perm is None:
+                break
+        if (perm and sorted(perm.values()) == labels
+                and all(surf.row(perm[s]) == want_row(s) for s in labels)):
+            candidates.append(perm)
+    return candidates
+
+
+def test_sector_permutations_are_the_polygon_reflection():
+    raised = 0
+    for m in range(2, 10):
+        for n in range(3, 10):
+            for i in range(2 * n):
+                candidates = reflected_candidates(m, n, i)
+                if not candidates:
+                    with pytest.raises(ValueError,
+                                       match="has no reflecting normalization"):
+                        sector_permutation(m, n, i)
+                    raised += 1
+                    continue
+                assert sector_permutation(m, n, i) == min(
+                    candidates, key=lambda p: [p[s] for s in sorted(p)])
+    assert raised == 60
+    # negative control: a permutation with two images swapped is no reflection
+    for m, n in SMALL:
+        for i in range(1, n):
+            perm = dict(sector_permutation(m, n, i))
+            perm[1], perm[2] = perm[2], perm[1]
+            assert perm not in reflected_candidates(m, n, i)
+
+
 @pytest.mark.parametrize("m, n", [(2, 4), (2, 6), (3, 7), (4, 7), (7, 3),
                                   (4, 4), (6, 4)])
 def test_traced_words_are_admissible_in_their_sector(m, n):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from bouwmoller import surface
 from bouwmoller.surface import (NonPositiveShape, Polygon, build_surface,
-                                polygon_params)
+                                forward_class, polygon_params)
+from bouwmoller.tracer import VertexHit, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 
@@ -55,19 +56,52 @@ def test_shape_checks_survive_optimized_mode():
 
 
 def test_labelling_invariants_raise(monkeypatch):
-    real_params, real_exit = surface.polygon_params, surface._exit
+    real_params = surface.polygon_params
     # the last polygon with its side classes swapped: its back sides vanish
     monkeypatch.setattr(surface, "polygon_params", lambda m, n, k:
                         real_params(m, n, k)[::-1] if k == m - 1
                         else real_params(m, n, k))
     with pytest.raises(RuntimeError, match="glued to degenerate edge"):
         build_surface(3, 4)
-    monkeypatch.setattr(surface, "polygon_params", real_params)
-    # a zigzag ray that lands on the wrong edge class
-    monkeypatch.setattr(surface, "_exit", lambda *args, **kwargs:
-                        (real_exit(*args, **kwargs)[0] + 1,))
-    with pytest.raises(RuntimeError, match="left the forward class"):
-        build_surface(3, 4)
+
+
+def zigzag_ray_misses(surf, k, order):
+    """Entries j of order whose zigzag ray does not reach entry j + 1.
+
+    The ray from the midpoint of entry j runs in direction pi or pi/n,
+    alternately, starting with pi when polygon k's forward class is 1.
+    """
+    rays = [math.pi, math.pi / surf.n]
+    if forward_class(surf.m, surf.n, k) == 0:
+        rays.reverse()
+    poly = surf.polygons[k]
+    misses = []
+    for j in range(len(order) - 1):
+        start = (k, poly.edge_midpoint(order[j]))
+        try:
+            label = trace(surf, start, rays[j % 2], 1).labels[0]
+        except VertexHit:  # a ray along its own edge reaches no entry
+            label = None
+        if label is None or label != surf.seat_label[k, order[j + 1]]:
+            misses.append(j)
+    return misses
+
+
+def test_zigzag_is_where_the_rays_go():
+    for m in range(2, 13):
+        for n in range(3, 21):
+            surf = build_surface(m, n)
+            for k in range(m - 1):
+                order = surf._zigzag(k)
+                assert order[0] == forward_class(m, n, k)
+                assert zigzag_ray_misses(surf, k, order) == []
+    # negative control: two entries swapped
+    for m, n in SMALL:
+        surf = build_surface(m, n)
+        for k in range(m - 1):
+            order = surf._zigzag(k)
+            order[1], order[2] = order[2], order[1]
+            assert zigzag_ray_misses(surf, k, order) != []
 
 
 def test_side_count_and_rows():

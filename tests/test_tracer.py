@@ -56,7 +56,7 @@ def test_trace_is_bit_exact():
         "8a950031eec593e8ee291159b2a65bcbf1dcd2e64d540add465d51de01d63257")
     # directions within 1e-9 to 1e-7 of a side direction, where sides
     # nearly parallel to the ray are entered and left, and a start can lie
-    # within rounding of its side (the along-edge rule of tracer._exit)
+    # within rounding of its side (the along-edge rule of tracer.trace)
     digest = hashlib.sha256()
     for m, n in ((2, 4), (4, 7), (7, 3)):
         surf = build_surface(m, n)
