@@ -761,6 +761,8 @@ def _farey_svg(m, n):
 
 def cmd_recognize(args):
     _require_renorm_params(args.m, args.n)
+    if not 0 < args.tol < math.inf:
+        raise SystemExit2(f"--tol must be finite and above 0, got {args.tol}")
     m, n = args.m, args.n
     if args.itinerary:
         if args.depth is not None:

@@ -128,15 +128,13 @@ def subsectors(m, n):
     intervals tile [0, pi/n] in decreasing j order.
     """
     back = _adj(gamma(m, n))
-    cuts = []
-    for j in range(m + 1):
+    # the outer cuts, preimages of the bounds pi/m and pi, are pi/n and 0
+    cuts = [math.pi / n]
+    for j in range(2, m):
         psi = j * math.pi / m
         cuts.append(_angle(_apply(back, (math.cos(psi), math.sin(psi)))))
-    out = []
-    for j in range(1, m):
-        lo, hi = sorted((cuts[j], cuts[j + 1]))
-        out.append((lo, hi))
-    return out
+    cuts.append(0.0)
+    return [tuple(sorted(pair)) for pair in zip(cuts, cuts[1:])]
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +156,9 @@ def ff_branches(m, n):
         for b in range(1, n):
             lo, hi = sorted(_angle(_apply(back, (math.cos(e), math.sin(e))))
                             for e in duals[b - 1])
+            # the outer branches end on the bounds 0 and pi/n exactly
+            lo = 0.0 if (a, b) == (m - 1, n - 1) else lo
+            hi = math.pi / n if (a, b) == (1, 1) else hi
             out[(a, b)] = (lo, hi, _branch_matrix(m, n, a, b))
     return out
 

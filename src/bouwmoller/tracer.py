@@ -2,15 +2,15 @@
 
 import math
 from bisect import bisect_right
+from functools import cached_property
 
 from .diagrams import sector_permutation, t0_grid
 from .surface import build_surface
 
 EPS_GEO = 1e-9
-# A direction d leaves a polygon by the edges e with d x e > EXIT_TOL, for
-# trace, start_through and _cylinder alike.  Over 2 <= m <= 11, 3 <= n <= 11
-# and the directions j*pi/(2n), parallel edges give |d x e| at most 6.4e-15
-# and transverse ones at least 0.040.
+# An edge e is an exit along d if d x e > EXIT_TOL.  Over 2 <= m <= 11,
+# 3 <= n <= 11 and the directions j*pi/(2n), parallel edges give |d x e| at
+# most 6.4e-15 and transverse ones at least 0.040.
 EXIT_TOL = 1e-12
 # How far behind its side, along the direction, a start point is placed.
 BACK = 1e-7
@@ -41,17 +41,29 @@ class Crossing:
 
 
 class CuttingWord:
-    """Cutting sequence of one traced trajectory window."""
+    """Cutting sequence of one traced window; crossings are built when read."""
 
-    def __init__(self, labels, crossings):
+    def __init__(self, labels, rows, hs, start, d):
         self.labels = labels
-        self.crossings = crossings
+        self._path = rows, hs, start, d
 
     def __iter__(self):
         return iter(self.labels)
 
     def __len__(self):
         return len(self.labels)
+
+    @cached_property
+    def crossings(self):
+        """Hit point q from each exit row and h; t sums d . (q - entry)."""
+        rows, hs, (px, py), (dx, dy) = self._path
+        out, t = [], 0.0
+        for row, h in zip(rows, hs):
+            qx, qy = q = _point(row, h)
+            t += dx * (qx - px) + dy * (qy - py)
+            out.append(Crossing(row[3], row[6][0], q, t))
+            px, py = qx + row[6][9], qy + row[6][10]
+        return out
 
 
 def sector_of(direction, n, tol=1e-12):
@@ -69,113 +81,104 @@ def sector_of(direction, n, tol=1e-12):
     return int(math.floor(q)) % (2 * n), False
 
 
-def _exits(edges, d):
-    """Exit table of one polygon along d: the h(a) of its rows, and the rows.
+def _exit_tables(surf, d):
+    """Exit table (hs, rows) of each polygon along d, and the rows by label.
 
-    The rows (i, ax, ay, ex, ey, bx, by, den) are the edges with
-    den = d x e > EXIT_TOL, sorted by h(a), where h(p) = d x p.  Along each
-    of them h grows from h(a) to h(b), so they tile the polygon's h-range.
+    The flow keeps h(p) = d x p and a gluing (sx, sy) shifts h by
+    d x (sx, sy), so from side to side it is an interval exchange on h
+    (Keane 1975, Veech 1982).  The exit edges, sorted by h(a) in hs, tile
+    the polygon's h-range.  A row is (h(a), h(b), |e|/den, label, polygon
+    entered, shift of h, (k, i, ax, ay, ex, ey, bx, by, den, sx, sy)).
     """
     dx, dy = d
-    rows = sorted((dx * ay - dy * ax, i, ax, ay, ex, ey, bx, by, den)
-                  for i, ax, ay, ex, ey, bx, by in edges
-                  if (den := dx * ey - dy * ex) > EXIT_TOL)
-    return [r[0] for r in rows], [r[1:] for r in rows]
+    tables = []
+    for k, (edges, glue) in enumerate(zip(surf.edge_table, surf.glue_table)):
+        rows = []
+        for i, ax, ay, ex, ey, bx, by in edges:
+            if (den := dx * ey - dy * ex) > EXIT_TOL:
+                label, k2, _, sx, sy = glue[i]
+                rows.append((dx * ay - dy * ax, dx * by - dy * bx,
+                             math.hypot(ex, ey) / den, label, k2,
+                             dx * sy - dy * sx,
+                             (k, i, ax, ay, ex, ey, bx, by, den, sx, sy)))
+        rows.sort(key=lambda row: row[0])
+        tables.append(([row[0] for row in rows], rows))
+    return tables, {row[3]: row for _, rows in tables for row in rows}
+
+
+def _point(row, h):
+    """The point at transverse coordinate h on a row's edge."""
+    ha, *_, (_, _, ax, ay, ex, ey, _, _, den, _, _) = row
+    s = (h - ha) / den
+    return ax + s * ex, ay + s * ey
 
 
 def trace(surf, start, direction, max_crossings):
     """Cutting sequence of the trajectory from start in the given direction.
 
     start is a pair (polygon index, point).  Raises VertexHit if the start
-    lies more than EPS_GEO outside its polygon, or if the trajectory passes
-    within EPS_GEO of a vertex; the caller may perturb the start and retry.
-
-    In each polygon the exit edge is the row of its exit table whose
-    h-range holds h(p).  A t <= 0 there puts p within rounding of a side
-    nearly parallel to d, which the ray grazes into the neighbouring exit
-    edge (the next row if d . e > 0, else the one before): a VertexHit.
+    lies more than EPS_GEO outside its polygon or within rounding of a side
+    nearly parallel to d (a ray parameter t <= 0 to its exit edge, solved
+    in 2D), or if the trajectory passes within EPS_GEO of a vertex; the
+    caller may perturb the start and retry.  Each crossing is one step of
+    the interval exchange of _exit_tables, with vertex distances
+    (h - h(a)) |e|/den and (h(b) - h) |e|/den along its exit edge.
     """
-    k, p = start
-    if not surf.polygons[k].contains(p, tol=EPS_GEO):
-        raise VertexHit(f"start {p} lies outside polygon {k}")
+    k, (px, py) = start
+    if not surf.polygons[k].contains((px, py), tol=EPS_GEO):
+        raise VertexHit(f"start {start[1]} lies outside polygon {k}")
     dx, dy = d = (math.cos(direction), math.sin(direction))
-    tables = [_exits(edges, d) for edges in surf.edge_table]
-    glue = surf.glue_table
-    labels, crossings = [], []
-    t_acc = 0.0
+    tables, _ = _exit_tables(surf, d)
+    h = dx * py - dy * px
+    hs, rows = tables[k]
+    j = max(bisect_right(hs, h) - 1, 0)
+    *_, ax, ay, ex, ey, _, _, den, _, _ = rows[j][6]
+    if ((ax - px) * ey - (ay - py) * ex) / den <= 0:
+        raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
+    exits, heights = [], []
     for _ in range(max_crossings):
         hs, rows = tables[k]
-        px, py = p
-        j = max(bisect_right(hs, dx * py - dy * px) - 1, 0)
-        e, ax, ay, ex, ey, bx, by, den = rows[j]
-        t = ((ax - px) * ey - (ay - py) * ex) / den
-        along = t <= 0
-        if along:
-            j += 1 if dx * ex + dy * ey > 0 else -1
-            if not 0 <= j < len(rows):
-                raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-            e, ax, ay, ex, ey, bx, by, den = rows[j]
-            t = ((ax - px) * ey - (ay - py) * ex) / den
-        q = (px + t * dx, py + t * dy)
-        if (math.hypot(q[0] - ax, q[1] - ay) < EPS_GEO
-                or math.hypot(q[0] - bx, q[1] - by) < EPS_GEO):
-            raise VertexHit(f"hit vertex of edge {e} at {q}")
-        if along:
-            raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-        t_acc += t
-        label, k2, _, sx, sy = glue[k][e]
-        labels.append(label)
-        crossings.append(Crossing(label, k, q, t_acc))
-        k, p = k2, (q[0] + sx, q[1] + sy)
-    return CuttingWord(labels, crossings)
-
-
-def _exit_rows(surf, d):
-    """(polygon, exit row) along d of every side not parallel to d, by label.
-
-    Of a side's two seats only one can be in its polygon's exit table.
-    """
-    return {surf.seat_label[k, row[0]]: (k, row)
-            for k, edges in enumerate(surf.edge_table)
-            for row in _exits(edges, d)[1]}
+        j = bisect_right(hs, h) - 1
+        ha, hb, scale, _, k, shift, _ = row = rows[j]
+        if (h - ha) * scale < EPS_GEO or (hb - h) * scale < EPS_GEO:
+            row = rows[max(j, 0)]
+            raise VertexHit(f"hit vertex of edge {row[6][1]} at "
+                            f"{_point(row, h)}")
+        exits.append(row)
+        heights.append(h)
+        h += shift
+    return CuttingWord([row[3] for row in exits], exits, heights, start[1], d)
 
 
 def _cylinder(surf, word, direction):
     """Start just behind word[0] whose trajectory crosses exactly word.
 
     No label occurs twice in one polygon, so the points of the side word[0]
-    whose trajectory in the given direction crosses word[0], word[1], ...
-    in order form one interval.  It is carried through the word in the
-    transverse coordinate h(p) = d x p, which the flow along d keeps and a
-    gluing translation shifts: in each polygon the interval is clipped to
-    the h-range of the seat the trajectory leaves by, which must be the
-    exit seat of the letter in that polygon.  Returns None when the
-    interval is empty, so that no trajectory has this cutting word;
-    otherwise (start, width), the start behind the interval's midpoint and
-    the final interval's width as a fraction of the last side's length.
+    whose trajectory crosses word in order form one interval of the h of
+    _exit_tables, clipped in each polygon to the h-range of the letter's
+    exit row there.  Returns None when it is empty, so that no trajectory
+    has this cutting word; otherwise (start, width), the start behind the
+    interval's midpoint and its width as a fraction of the last side.
     """
     dx, dy = d = (math.cos(direction), math.sin(direction))
-    rows = _exit_rows(surf, d)
+    _, rows = _exit_tables(surf, d)
     if word[0] not in rows:
         return None
-    k0, (_, ax0, ay0, ex0, ey0, bx0, by0, _) = rows[word[0]]
+    ha0, hb0, *_, (k0, _, ax0, ay0, ex0, ey0, *_) = rows[word[0]]
     k = k0
     lo, hi = -math.inf, math.inf
     offset = 0.0  # h in the current polygon minus h in polygon k0
     for label in word:
-        found = rows.get(label)
-        if found is None or found[0] != k:
+        row = rows.get(label)
+        if row is None or row[6][0] != k:
             return None
-        _, (e, ax, ay, _, _, bx, by, _) = found
-        ha, hb = dx * ay - dy * ax, dx * by - dy * bx
+        ha, hb, _, _, k, shift, _ = row
         lo, hi = max(lo, ha - offset), min(hi, hb - offset)
         if hi <= lo:
             return None
-        _, k, _, sx, sy = surf.glue_table[k][e]
-        offset += dx * sy - dy * sx
+        offset += shift
     width = (hi - lo) / (hb - ha)
-    ha0 = dx * ay0 - dy * ax0
-    s = ((lo + hi) / 2 - ha0) / (dx * by0 - dy * bx0 - ha0)
+    s = ((lo + hi) / 2 - ha0) / (hb0 - ha0)
     start = (ax0 + s * ex0 - BACK * dx, ay0 + s * ey0 - BACK * dy)
     return (k0, start), width
 
@@ -185,10 +188,10 @@ def start_through(surf, label, direction):
     d = (math.cos(direction), math.sin(direction))
     if label not in surf.sides:
         raise KeyError(label)
-    found = _exit_rows(surf, d).get(label)
-    if found is None:
+    row = _exit_tables(surf, d)[1].get(label)
+    if row is None:
         raise VertexHit(f"direction {direction} is parallel to side {label}")
-    k, (_, ax, ay, _, _, bx, by, _) = found
+    k, _, ax, ay, _, _, bx, by, *_ = row[6]
     return k, ((ax + bx) / 2 - BACK * d[0], (ay + by) / 2 - BACK * d[1])
 
 
@@ -204,7 +207,6 @@ def realize_periodic(m, n, n1, n2):
     surf = build_surface(m, n)
     if surf.row(n1) != surf.row(n2):
         raise NotCoAdjacent(f"sides {n1}, {n2} lie in different rows")
-    found = None
     for i in range(n):
         try:
             perm = sector_permutation(m, n, i)
@@ -214,11 +216,9 @@ def realize_periodic(m, n, n1, n2):
         r = surf.row(u1)
         grid_row = t0_grid(m, n)[r - 1]
         if abs(grid_row.index(u1) - grid_row.index(u2)) == 1:
-            found = (i, u1, u2, r, grid_row)
             break
-    if found is None:
+    else:
         raise NotCoAdjacent(f"sides {n1}, {n2} are nowhere adjacent in a row")
-    i, u1, u2, r, grid_row = found
     col = max(grid_row.index(u1), grid_row.index(u2))  # shared node (r, col)
     white = (r + col) % 2 == 0
     # white nodes carry horizontal cylinders, black ones pi/n ones; for
@@ -233,5 +233,4 @@ def realize_periodic(m, n, n1, n2):
     if core is None:
         raise VertexHit(f"no trajectory in direction {theta} crosses "
                         f"{n1}, {n2} in turn")
-    start = core[0]
-    return theta, start, trace(surf, start, theta, period)
+    return theta, core[0], trace(surf, core[0], theta, period)

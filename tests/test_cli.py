@@ -148,6 +148,12 @@ def test_trace_report_schema(tmp_path):
      "recognize --depth is for --word"),
     (("farey", "-m", "4", "-n", "3", "--theta", "0.35", "--depth", "0"),
      "--depth must be at least 1, got 0"),
+    (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--tol",
+      "nan"), "--tol must be finite and above 0, got nan"),
+    (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--tol",
+      "0"), "--tol must be finite and above 0, got 0.0"),
+    (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--tol",
+      "-1"), "--tol must be finite and above 0, got -1.0"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
@@ -156,7 +162,8 @@ def test_trace_report_schema(tmp_path):
         "recognize-negative-depth", "trace-svg-without-out", "farey-theta-out",
         "farey-theta-svg", "farey-depth-without-theta", "subst-word-out",
         "diagram-hooper-json", "verify-all-small-and-m",
-        "recognize-itinerary-depth", "farey-zero-depth"])
+        "recognize-itinerary-depth", "farey-zero-depth", "recognize-nan-tol",
+        "recognize-zero-tol", "recognize-negative-tol"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2

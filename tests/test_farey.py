@@ -67,12 +67,13 @@ def test_subsectors_tile_the_standard_sector():
     for m, n in SMALL:
         tiles = subsectors(m, n)
         assert len(tiles) == m - 1
-        # subsector 1 is the top interval, subsector m-1 touches zero
-        assert abs(tiles[0][1] - math.pi / n) < 1e-9
-        assert abs(tiles[-1][0]) < 1e-9
+        # subsector 1 is the top interval, subsector m-1 touches zero, and
+        # both end exactly on the bounds of the standard sector
+        assert tiles[0][1] == math.pi / n
+        assert tiles[-1][0] == 0.0
         ends = sorted(x for lo, hi in tiles for x in (lo, hi))
-        assert abs(ends[0]) < 1e-9
-        assert abs(ends[-1] - math.pi / n) < 1e-9
+        assert ends[0] == 0.0
+        assert ends[-1] == math.pi / n
         for a, b in zip(ends[1:-1:2], ends[2:-1:2]):
             assert abs(a - b) < 1e-9
 
@@ -83,14 +84,14 @@ def test_branch_intervals_tile_and_pin_parabolic_points():
         assert set(branches) == {(a, b) for a in range(1, m)
                                  for b in range(1, n)}
         ends = sorted((lo, hi) for lo, hi, _ in branches.values())
-        assert abs(ends[0][0]) < 1e-9
-        assert abs(ends[-1][1] - math.pi / n) < 1e-9
+        assert ends[0][0] == 0.0
+        assert ends[-1][1] == math.pi / n
         for (_, hi), (lo, _) in zip(ends, ends[1:]):
             assert abs(hi - lo) < 1e-9
         lo0, hi0, _ = branches[at_zero]
-        assert abs(lo0) < 1e-9
+        assert lo0 == 0.0
         lo1, hi1, _ = branches[(1, 1)]
-        assert abs(hi1 - math.pi / n) < 1e-9
+        assert hi1 == math.pi / n
 
 
 def test_itinerary_regression():
@@ -181,7 +182,7 @@ def test_farey_maps_are_bit_exact():
             for fn in (farey_F, farey_FF):
                 digest.update(repr(fn(m, n, theta)).encode())
     assert digest.hexdigest() == (
-        "9ae9e0cb3e6518724afb1f37aa2338ea6820712c1bd5889ba3312373653500d6")
+        "4f97ea69f68469edb68ce5c59062193acd68e103a10789819f2eb6eea6800c45")
 
 
 def test_cached_matrices_do_not_alias_the_public_ones():

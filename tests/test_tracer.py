@@ -30,43 +30,82 @@ def test_trace_regression():
     assert list(word.labels) == [1, 6, 7, 8, 5, 2, 1, 6, 7, 8, 5, 4]
 
 
-def _crossings_digest(digest, surf, theta, label, crossings):
-    try:
-        word = trace(surf, start_through(surf, label, theta), theta, crossings)
-    except VertexHit as exc:
-        digest.update(f"VertexHit {exc}".encode())
-        return
-    for c in word.crossings:
-        digest.update(repr((c.label, c.polygon, repr(c.point),
-                            repr(c.t))).encode())
-
-
-def test_trace_is_bit_exact():
-    # every crossing's label, polygon, point and ray parameter, to the last
-    # bit, on nine seeded 2000-crossing traces
-    digest = hashlib.sha256()
+def _trace_inputs():
+    # nine seeded 2000-crossing traces, then 24 200-crossing traces in
+    # directions within 1e-9 to 1e-7 of a side direction, where sides
+    # nearly parallel to the ray are entered and left, and a start can lie
+    # within rounding of its side (the along-edge rule of tracer.trace)
     rng = random.Random(2015)
+    random_set, near_set = [], []
     for m, n in ((2, 4), (4, 7), (7, 3)):
         surf = build_surface(m, n)
         for _ in range(3):
             theta = rng.uniform(0, 2 * math.pi)
-            _crossings_digest(digest, surf, theta, rng.choice(surf.labels),
-                              2000)
-    assert digest.hexdigest() == (
-        "8a950031eec593e8ee291159b2a65bcbf1dcd2e64d540add465d51de01d63257")
-    # directions within 1e-9 to 1e-7 of a side direction, where sides
-    # nearly parallel to the ray are entered and left, and a start can lie
-    # within rounding of its side (the along-edge rule of tracer.trace)
-    digest = hashlib.sha256()
+            random_set.append((surf, theta, rng.choice(surf.labels), 2000))
     for m, n in ((2, 4), (4, 7), (7, 3)):
         surf = build_surface(m, n)
         for eps in (1e-7, 1e-9):
             for j in (1, 3):
                 for label in (1, 2):
-                    _crossings_digest(digest, surf, j * math.pi / n + eps,
-                                      label, 200)
+                    near_set.append((surf, j * math.pi / n + eps, label, 200))
+    return random_set, near_set
+
+
+def _trace_digest(inputs, crossing_key):
+    digest = hashlib.sha256()
+    for surf, theta, label, crossings in inputs:
+        try:
+            word = trace(surf, start_through(surf, label, theta), theta,
+                         crossings)
+        except VertexHit:
+            digest.update(b"VertexHit")
+            continue
+        for c in word.crossings:
+            digest.update(repr(crossing_key(c)).encode())
+    return digest.hexdigest()
+
+
+def test_trace_is_bit_exact():
+    # every crossing's label and polygon, or the fact of a VertexHit
+    random_set, near_set = _trace_inputs()
+    key = lambda c: (c.label, c.polygon)
+    assert _trace_digest(random_set, key) == (
+        "edc05ba76676b17ebcccbf1baf5b9b7822acde0480b815a008cef7aa9be20a68")
+    assert _trace_digest(near_set, key) == (
+        "ce1193840c70543288f4d04e2f299fee07901d5e20a2a0321b75ef9dda686285")
+
+
+def test_trace_points_are_bit_exact():
+    # every crossing's point, rebuilt from its exit row and h, and its ray
+    # parameter, summed from d . (q - entry), to the last bit
+    random_set, near_set = _trace_inputs()
+    key = lambda c: (repr(c.point), repr(c.t))
+    assert _trace_digest(random_set, key) == (
+        "841cb4dfcd404b3fb1cf2c9b8b1842f83ee02ebcb3d6d7114051c65c1bcc9920")
+    assert _trace_digest(near_set, key) == (
+        "1e54aeaed770284f70555bde45308eb412ee5fbdeb513ce59b7491bc1c5a74c1")
+
+
+def test_start_through_decisions_are_bit_exact():
+    # the first 30 labels traced through every side of the six small
+    # surfaces, or the fact of a VertexHit, at the directions j*pi/(2n),
+    # where sides are parallel to the ray, and at offsets from them
+    digest = hashlib.sha256()
+    for m, n in ((3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)):
+        surf = build_surface(m, n)
+        for j in range(4 * n):
+            for offset in (0.0, 1e-13, -1e-13, 1e-10, -1e-10, 1e-7, -1e-7,
+                           1e-3):
+                theta = j * math.pi / (2 * n) + offset
+                for label in surf.labels:
+                    try:
+                        word = trace(surf, start_through(surf, label, theta),
+                                     theta, 30).labels
+                    except VertexHit:
+                        word = "VertexHit"
+                    digest.update(repr(word).encode())
     assert digest.hexdigest() == (
-        "651f40fd4ac1794b2f3a1ad1b860128965e77ca64da406b43dc4054c5e880f2a")
+        "7a76824438e2433afcd108855a6bc74ed9a056a59c99969b3a397139d35eadc1")
 
 
 def test_surface_json_is_unchanged():
@@ -147,25 +186,39 @@ def test_cylinder_interval_witnesses_traced_words():
             assert _cylinder(surf, word + [word[-1]], theta) is None
 
 
+def _distance_to_segment(p, a, b):
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    s = ((p[0] - a[0]) * ex + (p[1] - a[1]) * ey) / (ex * ex + ey * ey)
+    s = min(max(s, 0.0), 1.0)
+    return math.hypot(p[0] - a[0] - s * ex, p[1] - a[1] - s * ey)
+
+
 def test_crossings_lie_on_their_sides():
-    surf = build_surface(4, 3)
-    start = start_through(surf, 1, 0.51)
-    word = trace(surf, start, 0.51, 40)
-    assert len(word.crossings) == len(word.labels) == 40
-    last_t = 0.0
-    for c in word.crossings:
-        assert c.t > last_t
-        last_t = c.t
-        found = False
-        for k, e in surf.seats(c.label):
-            a, b = surf.polygons[k].edge(e)
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            px, py = c.point[0] - a[0], c.point[1] - a[1]
-            if abs(dx * py - dy * px) < 1e-9 and \
-                    -1e-9 <= (dx * px + dy * py) / (dx * dx + dy * dy) <= 1 + 1e-9:
-                found = True
-        assert found
-        assert c.as_dict()["label"] == c.label
+    # one seeded 2000-crossing window on each surface of the trace-long
+    # benchmark: every point lies on the seat of its label in the polygon
+    # it leaves, and the ray parameter grows
+    rng = random.Random(51)
+    for m, n in ((3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4), (3, 7),
+                 (4, 7), (7, 3)):
+        surf = build_surface(m, n)
+        while True:
+            theta = rng.uniform(0, 2 * math.pi)
+            try:
+                word = trace(surf, start_through(surf, rng.choice(surf.labels),
+                                                 theta), theta, 2000)
+                break
+            except VertexHit:
+                continue
+        assert len(word.crossings) == len(word.labels) == 2000
+        last_t = 0.0
+        for c in word.crossings:
+            assert c.t > last_t
+            last_t = c.t
+            (k, e), = (s for s in surf.seats(c.label) if s[0] == c.polygon)
+            assert _distance_to_segment(c.point, *surf.polygons[k].edge(e)) \
+                < 1e-9
+            assert c.as_dict() == {"label": c.label, "polygon": c.polygon,
+                                   "point": list(c.point), "t": c.t}
 
 
 def test_traced_words_are_admissible_in_the_direction_sector():
