@@ -55,7 +55,9 @@ def derivative_sequence(m, n, word, k):
     before normalizing, so sectors reads (b_0, a_1, b_1, ...); ambiguous[t]
     marks stages whose admissible sector was not unique: among all 2n
     sectors for the input word, whose direction may point anywhere, and
-    among the upward sectors for its derivatives.
+    among the upward sectors for its derivatives.  A word of fewer than
+    two letters has no derivative, so the sequence stops there, with fewer
+    than k+1 stages.
     """
     cur = list(word)
     mm, nn = m, n
@@ -63,7 +65,7 @@ def derivative_sequence(m, n, word, k):
     for t in range(k + 1):
         adm = admissible_in(mm, nn, cur)
         ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
-        if t == k:
+        if t == k or len(cur) < 2:
             sectors.append(min(adm) if adm else None)
             break
         i, u = _normalized(mm, nn, cur, adm)

@@ -183,13 +183,6 @@ class Surface:
     def seats(self, label):
         return self.sides[label].seats
 
-    def glue(self, k, e):
-        """Image seat and translation for crossing edge e of polygon k."""
-        if (k, e) not in self.seat_label:
-            raise KeyError((k, e))
-        _, k2, e2, sx, sy = self.glue_table[k][e]
-        return (k2, e2), (sx, sy)
-
     def to_json(self, indent=None):
         data = {
             "m": self.m,

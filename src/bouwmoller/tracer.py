@@ -4,7 +4,6 @@ import math
 from bisect import bisect_right
 from functools import cached_property
 
-from .diagrams import sector_permutation, t0_grid
 from .surface import build_surface
 
 EPS_GEO = 1e-9
@@ -21,19 +20,23 @@ class VertexHit(Exception):
 
 
 class NotCoAdjacent(ValueError):
-    """The two sides are not adjacent in the same row of any transition diagram."""
+    """No cylinder has the two sides as its alternating cutting sequence."""
 
 
 class Crossing:
-    """One side crossing: label, polygon left behind, hit point, ray parameter."""
+    """One side crossing: label, polygon left behind, hit point, ray parameter.
 
-    __slots__ = ("label", "polygon", "point", "t")
+    entry is where the chord through that polygon ending at point starts.
+    """
 
-    def __init__(self, label, polygon, point, t):
+    __slots__ = ("label", "polygon", "point", "t", "entry")
+
+    def __init__(self, label, polygon, point, t, entry):
         self.label = label
         self.polygon = polygon
         self.point = point
         self.t = t
+        self.entry = entry
 
     def as_dict(self):
         return {"label": self.label, "polygon": self.polygon,
@@ -61,7 +64,7 @@ class CuttingWord:
         for row, h in zip(rows, hs):
             qx, qy = q = _point(row, h)
             t += dx * (qx - px) + dy * (qy - py)
-            out.append(Crossing(row[3], row[6][0], q, t))
+            out.append(Crossing(row[3], row[6][0], q, t, (px, py)))
             px, py = qx + row[6][9], qy + row[6][10]
         return out
 
@@ -198,39 +201,20 @@ def start_through(surf, label, direction):
 def realize_periodic(m, n, n1, n2):
     """Periodic direction and start whose cutting sequence is (n1 n2)-repeating.
 
-    The pair must sit in adjacent same-row slots of some transition diagram
-    T_i that has a reflecting normalization; the trajectory follows the
-    core of the cylinder through their shared Hooper node.  Raises
-    NotCoAdjacent otherwise, and VertexHit if no trajectory in that
-    direction crosses n1, n2, n1, ... .
+    On M(m,n) the cylinder directions are the multiples of pi/n (Veech
+    1989, Hooper 2013).  The direction is the first j*pi/n, 0 <= j <= n,
+    in which some trajectory crosses n1, n2, n1, ... 40 times; the start
+    is the midpoint of that cylinder interval, on the cylinder's core.
+    Raises NotCoAdjacent if the sides lie in different rows or no such
+    direction exists.
     """
     surf = build_surface(m, n)
     if surf.row(n1) != surf.row(n2):
         raise NotCoAdjacent(f"sides {n1}, {n2} lie in different rows")
-    for i in range(n):
-        try:
-            perm = sector_permutation(m, n, i)
-        except ValueError:
-            continue
-        u1, u2 = perm[n1], perm[n2]
-        r = surf.row(u1)
-        grid_row = t0_grid(m, n)[r - 1]
-        if abs(grid_row.index(u1) - grid_row.index(u2)) == 1:
-            break
-    else:
-        raise NotCoAdjacent(f"sides {n1}, {n2} are nowhere adjacent in a row")
-    col = max(grid_row.index(u1), grid_row.index(u2))  # shared node (r, col)
-    white = (r + col) % 2 == 0
-    # white nodes carry horizontal cylinders, black ones pi/n ones; for
-    # i > 0 the reflection bringing sector i to the standard one swaps the
-    # two boundary directions.
-    base = 0.0 if white else math.pi / n
-    theta = base if i == 0 else (i + 1) * math.pi / n - base
-    # start at the midpoint of the cylinder interval of n1 n2 n1 n2 ...,
-    # on the core of the cylinder through the shared node
     period = 40
-    core = _cylinder(surf, [n1, n2] * (period // 2), theta)
-    if core is None:
-        raise VertexHit(f"no trajectory in direction {theta} crosses "
-                        f"{n1}, {n2} in turn")
-    return theta, core[0], trace(surf, core[0], theta, period)
+    for j in range(n + 1):
+        theta = j * math.pi / n
+        core = _cylinder(surf, [n1, n2] * (period // 2), theta)
+        if core is not None:
+            return theta, core[0], trace(surf, core[0], theta, period)
+    raise NotCoAdjacent(f"sides {n1}, {n2} share no cylinder")

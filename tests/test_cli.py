@@ -54,6 +54,16 @@ def test_trace_golden():
     assert r.stdout.strip() == "1,6,7,8,5,2,1,6,7,8,5,4"
 
 
+def test_trace_builds_no_crossings_without_out(monkeypatch, capsys):
+    # printing the word reads only the labels
+    def refuse(*args):
+        raise AssertionError("a crossing was built")
+    monkeypatch.setattr("bouwmoller.tracer.Crossing", refuse)
+    assert main(["trace", "-m", "4", "-n", "3", "--theta", "0.35",
+                 "--crossings", "50"]) == 0
+    assert capsys.readouterr().out.count(",") == 49
+
+
 def test_generate_golden():
     r = run_cli("generate", "-m", "4", "-n", "3", "-i", "1",
                 "--word", "1,2,3,4")

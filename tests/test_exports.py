@@ -1,7 +1,9 @@
 """The package namespace: every exported name resolves."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import bouwmoller
 
@@ -20,3 +22,24 @@ def test_the_package_keeps_the_one_export_list():
         module = importlib.import_module(f"bouwmoller.{name}")
         assert not hasattr(module, "__all__"), name
     assert bouwmoller.__all__ == sorted(bouwmoller.__all__)
+
+
+def _package_imports(name):
+    path = Path(bouwmoller.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").startswith("bouwmoller"):
+                found.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names
+                         if a.name.startswith("bouwmoller"))
+    return found
+
+
+def test_the_geometry_layers_import_no_combinatorics():
+    # surface is the bottom layer; the tracer reads only the surface, and
+    # takes its periodic directions from the cylinders, not the diagrams
+    assert _package_imports("surface") == set()
+    assert _package_imports("tracer") <= {".surface"}

@@ -72,6 +72,18 @@ def test_derivative_sequence_shapes():
         assert len(w) >= 1
 
 
+def test_derivative_sequence_stops_at_short_words():
+    # the 30-crossing window runs out of letters at its 6th derivative
+    surf = build_surface(4, 3)
+    word = trace(surf, start_through(surf, 1, 0.3), 0.3, 30).labels
+    words, sectors, ambiguous = derivative_sequence(4, 3, word, 8)
+    assert len(words) == len(sectors) == len(ambiguous) == 7
+    assert len(words[-1]) < 2 and all(len(w) >= 2 for w in words[:-1])
+    assert (words, sectors, ambiguous) == derivative_sequence(4, 3, word, 6)
+    words, sectors, ambiguous = derivative_sequence(4, 3, [1], 3)
+    assert words == [[1]] and len(sectors) == len(ambiguous) == 1
+
+
 def test_generate_regression():
     assert generate(4, 3, 1, [1, 2, 3, 4]) == [7, 8, 5, 6, 5, 2, 1]
 

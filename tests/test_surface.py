@@ -180,13 +180,15 @@ def test_glue_is_an_involution_with_opposite_shift():
         surf = build_surface(m, n)
         for label in surf.labels:
             for k, e in surf.seats(label):
-                (k2, e2), shift = surf.glue(k, e)
-                (k3, e3), back = surf.glue(k2, e2)
+                _, k2, e2, *shift = surf.glue_table[k][e]
+                _, k3, e3, *back = surf.glue_table[k2][e2]
                 assert (k3, e3) == (k, e)
                 a = surf.polygons[k].edge(e)[0]
                 b2 = surf.polygons[k2].edge(e2)[1]
                 assert abs(a[0] - (b2[0] + back[0])) < 1e-9
                 assert abs(a[1] - (b2[1] + back[1])) < 1e-9
+                assert abs(shift[0] + back[0]) < 1e-9
+                assert abs(shift[1] + back[1]) < 1e-9
 
 
 def test_paired_edges_match_in_length_and_direction():

@@ -269,6 +269,20 @@ def test_start_through_crosses_its_side_first():
                     assert word.labels == [label]
 
 
+def test_each_chord_starts_where_the_last_one_was_glued_to():
+    # trace --svg draws the chords (entry, point)
+    surf = build_surface(4, 3)
+    start = start_through(surf, 1, 0.35)
+    crossings = trace(surf, start, 0.35, 50).crossings
+    assert crossings[0].entry == start[1]
+    for a, b in zip(crossings, crossings[1:]):
+        _, k2, _, sx, sy = next(g for g in surf.glue_table[a.polygon]
+                                if g and g[0] == a.label)
+        assert b.polygon == k2
+        assert b.entry == (a.point[0] + sx, a.point[1] + sy)
+        assert surf.polygons[k2].contains(b.entry, tol=1e-9)
+
+
 def test_periodic_pair_realization():
     theta, start, word = realize_periodic(4, 3, 1, 2)
     w = list(word.labels)
@@ -304,6 +318,29 @@ def test_every_adjacent_pair_is_realized(m, n):
         w = list(word.labels)
         assert len(w) == 40
         assert w[0::2] == [n1] * 20 and w[1::2] == [n2] * 20
+
+
+def test_realize_periodic_is_unchanged():
+    # every same-row ordered pair of 2 <= m <= 8, 3 <= n <= 8 is realized;
+    # the sha256 of (m, n, n1, n2, theta, start, labels) pins direction,
+    # start and word bit for bit
+    h = hashlib.sha256()
+    count = 0
+    for m in range(2, 9):
+        for n in range(3, 9):
+            for r in range(m - 1):
+                row = range(r * n + 1, r * n + n + 1)
+                for n1 in row:
+                    for n2 in row:
+                        if n1 == n2:
+                            continue
+                        theta, start, word = realize_periodic(m, n, n1, n2)
+                        key = (m, n, n1, n2, theta, start, list(word.labels))
+                        h.update(repr(key).encode() + b"\n")
+                        count += 1
+    assert count == 4648
+    assert h.hexdigest() == ("31806fe789aa1eaba7d60516bfe45fdf"
+                             "df31c854cb552c5bc9c35f550bd27860")
 
 
 def test_periodic_pair_requires_adjacency():
