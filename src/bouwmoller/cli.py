@@ -11,6 +11,7 @@ import math
 import os
 import random
 import sys
+from functools import lru_cache
 
 from .diagrams import (NotAdmissible, NotChained, arrow_alphabet,
                        admissible_in, build_D0, build_T0, build_Ti,
@@ -19,9 +20,10 @@ from .farey import (BoundaryOrbit, NoConvergence, DomainError, _angle, _apply,
                     ff_branches, farey_F, farey_FF, gamma, itinerary,
                     direction_from_itinerary, reflection, subsectors)
 from .hooper import build_hooper, moduli
-from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
-                     generation_diagram, normalize, pseudo_substitution,
-                     substitution, tr_operator, tr_operator_inverse)
+from .renorm import (_generation_steps, derivative_sequence, derive,
+                     fixed_point_form, generate, generation_diagram, normalize,
+                     pseudo_substitution, substitution, tr_operator,
+                     tr_operator_inverse)
 from .surface import _num, build_surface
 from .tracer import (NotCoAdjacent, VertexHit, _cylinder, realize_periodic,
                      sector_of, start_through, trace)
@@ -191,13 +193,18 @@ def _contains(haystack, needle):
     return f",{','.join(map(str, needle))}," in f",{','.join(map(str, haystack))},"
 
 
+@lru_cache(maxsize=None)
+def _t0_successors(m, n):
+    """Letters of T_0 of M(m,n) -> their successors, both in sorted order."""
+    arrows = sorted(build_T0(m, n).arrows)
+    return {a: [b for x, b in arrows if x == a] for a, _ in arrows}
+
+
 def _random_t0_word(m, n, rng, length):
-    nxt = {}
-    for a, b in build_T0(m, n).arrows:
-        nxt.setdefault(a, []).append(b)
-    w = [rng.choice(sorted(nxt))]
+    nxt = _t0_successors(m, n)
+    w = [rng.choice(list(nxt))]
     while len(w) < length:
-        w.append(rng.choice(sorted(nxt[w[-1]])))
+        w.append(rng.choice(nxt[w[-1]]))
     return w
 
 
@@ -218,6 +225,7 @@ def check_derivation_golden():
 def check_substitution_goldens():
     """Pseudo-substitution tables and the composed table for (4,3)."""
     generation_diagram.cache_clear()
+    _generation_steps.cache_clear()
     pseudo_substitution.cache_clear()
     sector_permutation.cache_clear()
     bad = []
@@ -491,33 +499,26 @@ def check_periodic_fixed_points():
     """Same-row-adjacent pairs are realized by periodic trajectories whose
     renormalization keeps the window length and the two-letter form."""
     failures = []
-    checked = 0
-    for (m, n) in ((4, 3), (3, 4)):
-        pairs = set()
-        for i in range(n):
-            for row in build_Ti(m, n, i).grid:
-                for c in range(len(row) - 1):
-                    pairs.add((row[c], row[c + 1]))
-                    pairs.add((row[c + 1], row[c]))
-        for n1, n2 in sorted(pairs):
-            checked += 1
-            try:
-                theta, start, word = realize_periodic(m, n, n1, n2)
-            except (NotCoAdjacent, VertexHit):
-                failures.append([m, n, n1, n2, "realize"])
-                continue
-            w = list(word.labels)
-            periodic = (set(w[0::2]) == {w[0]} and set(w[1::2]) == {w[1]}
-                        and {w[0], w[1]} == {n1, n2})
-            form = fixed_point_form(w)
-            _, u = normalize(m, n, w)
-            image = derive(m, n, u, cyclic=True)
-            if not (periodic and form and len(image) == len(w)
-                    and fixed_point_form(image)):
-                failures.append([m, n, n1, n2, "renormalize"])
+    pairs = [(m, n, *pair) for m, n in ((4, 3), (3, 4))
+             for pair in sorted((a, b) for row in t0_grid(m, n)
+                                for a in row for b in row if a != b)]
+    for m, n, n1, n2 in pairs:
+        try:
+            theta, start, word = realize_periodic(m, n, n1, n2)
+        except (NotCoAdjacent, VertexHit):
+            failures.append([m, n, n1, n2, "realize"])
+            continue
+        w = list(word.labels)
+        periodic = (set(w[0::2]) == {w[0]} and set(w[1::2]) == {w[1]}
+                    and {w[0], w[1]} == {n1, n2})
+        _, u = normalize(m, n, w)
+        image = derive(m, n, u, cyclic=True)
+        if not (periodic and fixed_point_form(w) and len(image) == len(w)
+                and fixed_point_form(image)):
+            failures.append([m, n, n1, n2, "renormalize"])
     return {"name": "periodic-fixed-points",
             "status": "pass" if not failures else "fail",
-            "pairs_checked": checked, "failures": failures}
+            "pairs_checked": len(pairs), "failures": failures}
 
 
 def run_verification(surfaces, seed=7, trials=None):
@@ -674,6 +675,19 @@ def cmd_farey(args):
             itin = itinerary(m, n, theta, args.depth)
             data["itinerary"] = {"b0": itin.b0,
                                  "pairs": [list(p) for p in itin.pairs]}
+            firsts = []  # where a neighbouring double's itinerary departs
+            for x in (math.nextafter(theta, -math.inf),
+                      math.nextafter(theta, math.inf)):
+                try:
+                    near = itinerary(m, n, x, args.depth).pairs
+                except BoundaryOrbit:
+                    continue  # a neighbour on a boundary tells nothing
+                firsts += [k for k, (p, q) in enumerate(zip(near, itin.pairs))
+                           if p != q][:1]
+            if firsts:
+                print(f"warning: the double {theta!r} does not determine "
+                      f"itinerary pair {min(firsts)} (0-based) or later ones",
+                      file=sys.stderr)
         print(_dumps(data, indent=2))
         return 0
     branches = {f"{a},{b}": {"lo": lo, "hi": hi, "matrix": mat}

@@ -80,6 +80,12 @@ def _angle(v):
     return math.atan2(v[1], v[0])
 
 
+@lru_cache(maxsize=None)
+def _step_data(m, n):
+    """gamma, pi/m and reflection(n, m, a) at index a, as _f_step reads them."""
+    return gamma(m, n), math.pi / m, tuple(reflection(n, m, a) for a in range(m))
+
+
 def _f_step(m, n, v, tol):
     """One projective renormalization step on a direction vector of M(m,n).
 
@@ -87,16 +93,22 @@ def _f_step(m, n, v, tol):
     that wrapped past pi are folded back.  Its angle psi falls in sector a
     of M(n,m), [a pi/m, (a+1) pi/m], which reflection(n, m, a) takes to the
     standard sector.  Returns (a, normalized image vector, boundary flag);
-    the flag marks psi within tol of either bound of sector a.
-    """
-    w = _upper(_apply(gamma(m, n), v))
-    psi = math.atan2(w[1], w[0])
-    step = math.pi / m
+    the flag marks psi within tol of either bound of sector a.  _apply and
+    _upper are written out, with the same arithmetic."""
+    ((g0, g1), (h0, h1)), step, refl = _step_data(m, n)
+    x, y = v
+    x, y = g0 * x + g1 * y, h0 * x + h1 * y
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    psi = math.atan2(y, x)
     if psi < 0.5 * step:
         psi += math.pi
     a = min(max(int(psi // step), 1), m - 1)
     on_boundary = min(abs(psi - a * step), abs(psi - (a + 1) * step)) < tol
-    x, y = _upper(_apply(reflection(n, m, a), w))
+    (g0, g1), (h0, h1) = refl[a]
+    x, y = g0 * x + g1 * y, h0 * x + h1 * y
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
     r = math.hypot(x, y)
     return a, (x / r, y / r), on_boundary
 
@@ -105,8 +117,7 @@ def farey_F(m, n, theta):
     """Normalized projective step in angle coordinates: (dual sector, angle)."""
     if not -EPS_DYN <= theta <= math.pi / n + EPS_DYN:
         raise DomainError(f"theta {theta} outside [0, pi/{n}]")
-    v = (math.cos(theta), math.sin(theta))
-    a, out, _ = _f_step(m, n, v, 0.0)
+    a, out, _ = _f_step(m, n, (math.cos(theta), math.sin(theta)), 0.0)
     psi = _angle(out)
     if psi > 0.5 * math.pi:
         psi = max(0.0, psi - math.pi)
@@ -189,11 +200,9 @@ def itinerary(m, n, theta, k):
     v = _upper(_apply(reflection(m, n, 0 if b0 == n else b0), v))
     pairs = []
     for _ in range(k):
-        a, v, bad = _f_step(m, n, v, EPS_DYN)
-        if bad:
-            raise BoundaryOrbit("orbit within quarantine band of a boundary")
-        b, v, bad = _f_step(n, m, v, EPS_DYN)
-        if bad:
+        a, v, bad_a = _f_step(m, n, v, EPS_DYN)
+        b, v, bad_b = _f_step(n, m, v, EPS_DYN)
+        if bad_a or bad_b:
             raise BoundaryOrbit("orbit within quarantine band of a boundary")
         pairs.append((a, b))
     return Itinerary(b0, tuple(pairs))

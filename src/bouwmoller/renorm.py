@@ -6,13 +6,6 @@ from .diagrams import (NotAdmissible, admissible_in, arrow_alphabet, build_D0,
                        build_Ti, sector_permutation)
 
 
-@lru_cache(maxsize=None)
-def _d0_steps(m, n):
-    """D_0 of M(m,n) as one table: arrow -> its dual label, or 0 if unlabeled."""
-    d0 = build_D0(m, n)
-    return {arrow: d0.arrow_labels.get(arrow, 0) for arrow in d0.arrows}
-
-
 def derive(m, n, word, cyclic=False):
     """Dual labels of the labeled transitions of a T_0-admissible word.
 
@@ -23,7 +16,7 @@ def derive(m, n, word, cyclic=False):
     if len(word) < 2:
         raise ValueError("derivation needs at least two letters")
     nxt = word[1:] + (word[:1] if cyclic else [])
-    labels = list(map(_d0_steps(m, n).get, zip(word, nxt)))
+    labels = list(map(_sector_steps(m, n, 0).get, zip(word, nxt)))
     if None in labels:
         k = labels.index(None)
         raise NotAdmissible(f"transition ({word[k]}, {nxt[k]}) "
@@ -34,16 +27,23 @@ def derive(m, n, word, cyclic=False):
 def normalize(m, n, word):
     """Smallest admissible sector and the word mapped into T_0."""
     word = list(word)
-    return _normalized(m, n, word, admissible_in(m, n, word))
-
-
-def _normalized(m, n, word, sectors):
-    """normalize, given the list word and its admissible sectors."""
+    sectors = admissible_in(m, n, word)
     if not sectors:
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
     i = min(sectors)
     perm = sector_permutation(m, n, i % n)
     return i, [perm[x] for x in (word[::-1] if i >= n else word)]
+
+
+@lru_cache(maxsize=None)
+def _sector_steps(m, n, i):
+    """derive after normalize from sector i as one table (D_0 for i = 0):
+    transition -> dual label, or 0.  Sectors i >= n reverse the word, so
+    each transition is looked up reversed and the labels come out reversed."""
+    d0 = build_D0(m, n)
+    inv = {y: x for x, y in sector_permutation(m, n, i % n).items()}
+    return {(inv[b], inv[a]) if i >= n else (inv[a], inv[b]):
+            d0.arrow_labels.get((a, b), 0) for a, b in d0.arrows}
 
 
 def derivative_sequence(m, n, word, k):
@@ -65,12 +65,13 @@ def derivative_sequence(m, n, word, k):
     for t in range(k + 1):
         adm = admissible_in(mm, nn, cur)
         ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
+        sectors.append(i := min(adm, default=None))
         if t == k or len(cur) < 2:
-            sectors.append(min(adm) if adm else None)
             break
-        i, u = _normalized(mm, nn, cur, adm)
-        sectors.append(i)
-        cur = derive(mm, nn, u)
+        if i is None:
+            raise NotAdmissible(f"word admissible in no sector of M({mm},{nn})")
+        labels = filter(None, map(_sector_steps(mm, nn, i).get, zip(cur, cur[1:])))
+        cur = list(labels)[::-1] if i >= nn else list(labels)
         words.append(cur)
         mm, nn = nn, mm
     return words, sectors, ambiguous
@@ -115,6 +116,22 @@ def generation_diagram(m, n, i):
     return out
 
 
+@lru_cache(maxsize=None)
+def _generation_steps(m, n, i):
+    """generate in sector i as one table: T_0 transition (x, y) of M(n,m) ->
+    (tail of A, vertices, head of B) for the value (A, B, vertices) of its
+    image in generation_diagram(n, m, i).  The paths must chain: at each
+    letter, the B of every arrow in and the A of every arrow out agree."""
+    gd = generation_diagram(n, m, i)
+    inv = {y: x for x, y in sector_permutation(n, m, i).items()}
+    seam = {}
+    for (x, y), (a_arr, b_arr, _) in gd.items():
+        if seam.setdefault(y, b_arr) != b_arr or seam.setdefault(x, a_arr) != a_arr:
+            raise RuntimeError("interpolating paths do not chain")
+    return {(inv[x], inv[y]): (a_arr[0], tuple(path), b_arr[1])
+            for (x, y), (a_arr, b_arr, path) in gd.items()}
+
+
 def generate(m, n, i, word):
     """Preimage of derivation in sector i: dual-admissible word to primal.
 
@@ -125,24 +142,22 @@ def generate(m, n, i, word):
     word = list(word)
     if len(word) < 2:
         raise ValueError("generation needs at least two letters")
-    perm = sector_permutation(n, m, i)
-    try:
-        w = [perm[x] for x in word]
-    except KeyError as exc:
-        raise NotAdmissible(f"{exc.args[0]} is not a side of M({n},{m})") from None
-    gd = generation_diagram(n, m, i)
-    arrows = []
-    for a, b in zip(w, w[1:]):
-        if (a, b) not in gd:
-            raise NotAdmissible(f"transition ({a}, {b}) not in T_{i} of M({n},{m})")
-        arrows.append(gd[(a, b)])
-    for (_, b1, _), (a2, _, _) in zip(arrows, arrows[1:]):
-        if b1 != a2:
-            raise RuntimeError("interpolating paths do not chain")
-    out = [arrows[0][0][0]]
-    for _, _, path in arrows:
-        out.extend(path)
-    out.append(arrows[-1][1][1])
+    # a sector out of range is reported below, after letters that are no side
+    steps = _generation_steps(m, n, i) if 1 <= i < m else {}
+    rows = list(map(steps.get, zip(word, word[1:])))
+    if None in rows:
+        perm = sector_permutation(n, m, i)
+        for x in word:
+            if x not in perm:
+                raise NotAdmissible(f"{x} is not a side of M({n},{m})")
+        generation_diagram(n, m, i)
+        a, b = word[rows.index(None)], word[rows.index(None) + 1]
+        raise NotAdmissible(f"transition ({perm[a]}, {perm[b]}) "
+                            f"not in T_{i} of M({n},{m})")
+    out = [rows[0][0]]
+    for _, path, _ in rows:
+        out += path
+    out.append(rows[-1][2])
     return out
 
 
@@ -153,17 +168,12 @@ def pseudo_substitution(m, n, i):
     An arrow of T_i annotated w_1..w_N maps to a_0..a_{N-1}, where a_0 is
     the dual arrow labeled by the tail and a_t the arrow w_t -> w_{t+1}.
     """
-    gd = generation_diagram(m, n, i)
-    perm = sector_permutation(m, n, i)
-    src = arrow_alphabet(m, n)
-    dst = arrow_alphabet(n, m)
+    steps = _generation_steps(n, m, i)
+    dst = arrow_alphabet(n, m).name_of_arrow
     out = {}
-    for name, (p, q) in src.arrow_of_name.items():
-        a_arr, _, path = gd[(perm[p], perm[q])]
-        names = [dst.name_of_arrow[a_arr]]
-        for u, v in zip(path, path[1:]):
-            names.append(dst.name_of_arrow[(u, v)])
-        out[name] = names
+    for name, arrow in arrow_alphabet(m, n).arrow_of_name.items():
+        tail, path, _ = steps[arrow]
+        out[name] = [dst[uv] for uv in zip((tail, *path), path)]
     return out
 
 

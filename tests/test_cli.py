@@ -11,6 +11,7 @@ import pytest
 from bouwmoller import build_surface, start_through, trace
 from bouwmoller.cli import (_canon, _dumps, _parse_angle, _parse_start,
                             _parse_word, main, run_verification)
+from bouwmoller.farey import itinerary
 
 
 def run_cli(*args):
@@ -293,6 +294,24 @@ def test_recognize_derives_only_as_deep_as_the_word_allows():
     assert r.returncode == 2
     assert len(r.stderr.strip().splitlines()) == 1
     assert "before any whole branch pair" in r.stderr
+
+
+def test_farey_warns_where_the_double_stops_determining_the_itinerary(capsys):
+    # itinerary(4, 3, 0.35, 200) and those of both neighbouring doubles of
+    # 0.35 first differ at pair 17; stdout keeps all 200 pairs
+    assert main(["farey", "-m", "4", "-n", "3", "--theta", "0.35",
+                 "--depth", "200"]) == 0
+    out, err = capsys.readouterr()
+    assert len(json.loads(out)["itinerary"]["pairs"]) == 200
+    assert err == ("warning: the double 0.35 does not determine itinerary "
+                   "pair 17 (0-based) or later ones\n")
+    for x in (math.nextafter(0.35, -math.inf), math.nextafter(0.35, math.inf)):
+        pairs = itinerary(4, 3, x, 18).pairs
+        assert pairs[:17] == itinerary(4, 3, 0.35, 17).pairs
+        assert pairs[17] != itinerary(4, 3, 0.35, 18).pairs[17]
+    assert main(["farey", "-m", "4", "-n", "3", "--theta", "0.35",
+                 "--depth", "5"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_reports_are_byte_deterministic():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _adj, _apply,
-                              _branch_matrix, _mul, direction_from_itinerary,
+                              _branch_matrix, _f_step, _mul,
+                              direction_from_itinerary,
                               farey_F, farey_FF, ff_branches, gamma, itinerary,
                               reflection, subsectors)
 
@@ -162,6 +163,33 @@ def test_recognition_is_bit_exact():
             digest.update(repr(out).encode())
     assert digest.hexdigest() == (
         "936e19eef5cceb5dd36bb454cfbf07b4919732166325f782b1957fe21ba24433")
+
+
+def test_farey_steps_are_bit_exact():
+    # itinerary(..., 25), the recovered direction and 60 chained steps of
+    # _f_step, to the last bit, for seeded directions on every surface with
+    # 3 <= m, n <= 7
+    digest = hashlib.sha256()
+    rng = random.Random(3301)
+    for m in range(3, 8):
+        for n in range(3, 8):
+            for _ in range(20):
+                theta = rng.uniform(0, 2 * math.pi)
+                try:
+                    itin = itinerary(m, n, theta, 25)
+                    out = (itin, direction_from_itinerary(
+                        m, n, itin.b0, itin.pairs, tol=1e-6))
+                except (BoundaryOrbit, NoConvergence) as exc:
+                    out = type(exc).__name__
+                digest.update(repr(out).encode())
+                theta = rng.uniform(0, math.pi / n)
+                v, mm, nn = (math.cos(theta), math.sin(theta)), m, n
+                for _ in range(60):
+                    a, v, bad = _f_step(mm, nn, v, 1e-12)
+                    digest.update(repr((a, v, bad)).encode())
+                    mm, nn = nn, mm
+    assert digest.hexdigest() == (
+        "0eccecf81bb3161487f44e8caab2a4c3985ba35a4d6cc33ebadc2b7a16e18daf")
 
 
 def test_farey_maps_are_bit_exact():

@@ -1,5 +1,7 @@
 """Derivation, generation, and the substitution operators."""
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -7,12 +9,13 @@ import pytest
 from bouwmoller import renorm
 from bouwmoller.cli import (GOLDEN_PSUB, GOLDEN_SIGMA11_43, _contains,
                             _random_t0_word)
-from bouwmoller.diagrams import NotAdmissible, NotChained, admissible_in
+from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
+                                 sector_permutation)
 from bouwmoller.renorm import (derivative_sequence, derive, fixed_point_form,
                                generate, normalize, pseudo_substitution,
                                substitution, tr_operator, tr_operator_inverse)
 from bouwmoller.surface import build_surface
-from bouwmoller.tracer import start_through, trace
+from bouwmoller.tracer import VertexHit, start_through, trace
 
 
 def test_derive_window_and_cyclic():
@@ -42,11 +45,20 @@ def test_generate_rejects_unknown_sides():
 
 
 def test_generate_checks_that_paths_chain(monkeypatch):
+    # the generate table checks every pair of arrows through a letter once,
+    # when it is built
     real = renorm.generation_diagram(3, 4, 1)
     broken = {x: ((0, 0), b, path) for x, (_, b, path) in real.items()}
     monkeypatch.setattr(renorm, "generation_diagram", lambda m, n, i: broken)
+    renorm._generation_steps.cache_clear()
     with pytest.raises(RuntimeError, match="interpolating paths do not chain"):
         generate(4, 3, 1, [1, 2, 3, 4])
+    # one arrow whose path starts elsewhere is enough
+    (x, (_, b, path)), *rest = sorted(real.items())
+    monkeypatch.setattr(renorm, "generation_diagram",
+                        lambda m, n, i: {**dict(rest), x: ((0, 0), b, path)})
+    with pytest.raises(RuntimeError, match="interpolating paths do not chain"):
+        renorm._generation_steps(4, 3, 1)
 
 
 def test_normalize():
@@ -149,7 +161,6 @@ def test_substitution_conjugates_two_generation_steps():
 
 
 def test_tr_operator_round_trip():
-    from bouwmoller.diagrams import sector_permutation
     rng = random.Random(31)
     for i in range(3):
         perm = sector_permutation(4, 3, i)
@@ -171,3 +182,89 @@ def test_fixed_point_form():
     assert fixed_point_form([1, 2, 1, 3]) is None
     assert fixed_point_form([1, 1]) is None
     assert fixed_point_form([1]) is None
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _normalizing_sectors(m, n):
+    """Sectors 0..2n-1 of M(m,n) that have a reflecting normalization."""
+    out = []
+    for i in range(2 * n):
+        try:
+            sector_permutation(m, n, i % n)
+        except ValueError:
+            continue
+        out.append(i)
+    return out
+
+
+def test_derivative_sequence_is_unchanged():
+    # depth-6 derivative sequences of traced windows, two per sector, on
+    # every surface with 3 <= m, n <= 7 that is not both even, to the last
+    # word, sector and flag
+    digest = hashlib.sha256()
+    rng = random.Random(4177)
+    for m in range(3, 8):
+        for n in range(3, 8):
+            if m % 2 == n % 2 == 0:
+                continue
+            surf = build_surface(m, n)
+            for i in range(2 * n):
+                for _ in range(2):
+                    theta = (i + rng.uniform(0.02, 0.98)) * math.pi / n
+                    label = rng.choice(sorted(surf.sides))
+                    try:
+                        word = trace(surf, start_through(surf, label, theta),
+                                     theta, rng.randrange(40, 400)).labels
+                    except VertexHit:
+                        digest.update(b"vertex")
+                        continue
+                    got = _outcome(derivative_sequence, m, n, word, 6)
+                    digest.update(repr(got).encode())
+    assert digest.hexdigest() == (
+        "4e17f6a4ac278bb18772bec8a0f14cb635d91a26696ffe5fe37ff20b1be0dd9b")
+
+
+def test_generate_is_unchanged():
+    # generate on seeded T_0 words, and on the same words with one letter
+    # changed, in every sector that has a normalization, 3 <= m, n <= 7,
+    # generating ones or not: the output, or the class and message of the
+    # first error, so errors keep their order
+    digest = hashlib.sha256()
+    rng = random.Random(5261)
+    for m in range(3, 8):
+        for n in range(3, 8):
+            for i in _normalizing_sectors(n, m):
+                for _ in range(6):
+                    w = _random_t0_word(n, m, rng, rng.randrange(2, 30))
+                    digest.update(repr(_outcome(generate, m, n, i, w)).encode())
+                    w[rng.randrange(len(w))] = rng.randrange(0, m * (n - 1) + 2)
+                    digest.update(repr(_outcome(generate, m, n, i, w)).encode())
+    assert digest.hexdigest() == (
+        "778c7a73d78dc651a7398461f646fad7b377ed8dac5e95dbd1496f48d4ed76ea")
+
+
+def test_sector_steps_derive_the_normalized_word():
+    # one lookup per transition of a sector-i word is derive(normalize(word))
+    rng = random.Random(6007)
+    for m in range(2, 10):
+        for n in range(3, 10):
+            for i in _normalizing_sectors(m, n):
+                perm = sector_permutation(m, n, i % n)
+                inv = {v: k for k, v in perm.items()}
+                steps = renorm._sector_steps(m, n, i)
+                for _ in range(4):
+                    u = _random_t0_word(m, n, rng, rng.randrange(2, 40))
+                    word = [inv[x] for x in (u[::-1] if i >= n else u)]
+                    got = [x for x in map(steps.get, zip(word, word[1:])) if x]
+                    if i >= n:
+                        got.reverse()
+                    assert got == derive(m, n, u)
+                    if normalize(m, n, word)[0] == i:
+                        assert got == derive(m, n, normalize(m, n, word)[1])
