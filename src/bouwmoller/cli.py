@@ -13,7 +13,7 @@ import random
 import sys
 from functools import lru_cache
 
-from .diagrams import (NotAdmissible, NotChained, arrow_alphabet,
+from .diagrams import (NotAdmissible, NotChained, _surface, arrow_alphabet,
                        admissible_in, build_D0, build_T0, build_Ti,
                        sector_permutation, t0_grid)
 from .farey import (BoundaryOrbit, NoConvergence, DomainError, _angle, _apply,
@@ -228,6 +228,7 @@ def check_substitution_goldens():
     _generation_steps.cache_clear()
     pseudo_substitution.cache_clear()
     sector_permutation.cache_clear()
+    _surface.cache_clear()
     bad = []
     for (m, n, i), table in sorted(GOLDEN_PSUB.items()):
         got = pseudo_substitution(m, n, i)

@@ -115,6 +115,11 @@ def build_D0(m, n):
 
 
 @lru_cache(maxsize=None)
+def _surface(m, n):
+    return build_surface(m, n)  # one build for every sector_permutation
+
+
+@lru_cache(maxsize=None)
 def sector_permutation(m, n, i):
     """Side permutation normalizing sector-i trajectories to sector 0.
 
@@ -137,7 +142,7 @@ def sector_permutation(m, n, i):
     labels = range(1, n * (m - 1) + 1)
     if i == 0:
         return {s: s for s in labels}
-    surf = build_surface(m, n)
+    surf = _surface(m, n)
     want_row = (lambda s: m - surf.row(s)) if (i - n) % 2 == 0 else surf.row
 
     def side_map(image):

@@ -3,7 +3,7 @@ piecewise linear-fractional Farey maps, itineraries, and direction recovery.
 Matrices are tuples of row tuples, applied as a0*x + a1*y on every machine."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .tracer import sector_of
@@ -174,11 +174,10 @@ def ff_branches(m, n):
     return out
 
 
-@dataclass(frozen=True)
-class Itinerary:
+class Itinerary(namedtuple("Itinerary", "b0 pairs")):
     """Starting sector and branch pairs of an orbit of the composed map."""
-    b0: int
-    pairs: tuple
+
+    __slots__ = ()
 
     def flatten(self):
         """Sector sequence (b0, a1, b1, a2, b2, ...)."""

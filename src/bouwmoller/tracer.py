@@ -46,9 +46,9 @@ class Crossing:
 class CuttingWord:
     """Cutting sequence of one traced window; crossings are built when read."""
 
-    def __init__(self, labels, rows, hs, start, d):
+    def __init__(self, labels, by_label, h0, start, d):
         self.labels = labels
-        self._path = rows, hs, start, d
+        self._path = by_label, h0, start, d
 
     def __iter__(self):
         return iter(self.labels)
@@ -59,13 +59,15 @@ class CuttingWord:
     @cached_property
     def crossings(self):
         """Hit point q from each exit row and h; t sums d . (q - entry)."""
-        rows, hs, (px, py), (dx, dy) = self._path
+        by_label, h, (px, py), (dx, dy) = self._path
         out, t = [], 0.0
-        for row, h in zip(rows, hs):
+        for label in self.labels:
+            row = by_label[label]
             qx, qy = q = _point(row, h)
             t += dx * (qx - px) + dy * (qy - py)
-            out.append(Crossing(row[3], row[6][0], q, t, (px, py)))
+            out.append(Crossing(label, row[6][0], q, t, (px, py)))
             px, py = qx + row[6][9], qy + row[6][10]
+            h += row[5]
         return out
 
 
@@ -85,13 +87,17 @@ def sector_of(direction, n, tol=1e-12):
 
 
 def _exit_tables(surf, d):
-    """Exit table (hs, rows) of each polygon along d, and the rows by label.
+    """Exit table of each polygon along d, and the exit rows by label.
 
     The flow keeps h(p) = d x p and a gluing (sx, sy) shifts h by
     d x (sx, sy), so from side to side it is an interval exchange on h
     (Keane 1975, Veech 1982).  The exit edges, sorted by h(a) in hs, tile
     the polygon's h-range.  A row is (h(a), h(b), |e|/den, label, polygon
     entered, shift of h, (k, i, ax, ay, ex, ey, bx, by, den, sx, sy)).
+    A polygon's table is (guards, steps, hs, rows): steps[bisect_right(
+    guards, h)] is a row's (label, polygon entered, shift) if h lies at
+    least 2 EPS_GEO along its edge from both vertices, rounded inwards, and
+    None elsewhere; guards is sorted, as a row's h(b) is the next's h(a).
     """
     dx, dy = d
     tables = []
@@ -105,8 +111,14 @@ def _exit_tables(surf, d):
                              dx * sy - dy * sx,
                              (k, i, ax, ay, ex, ey, bx, by, den, sx, sy)))
         rows.sort(key=lambda row: row[0])
-        tables.append(([row[0] for row in rows], rows))
-    return tables, {row[3]: row for _, rows in tables for row in rows}
+        guards, steps = [], [None]
+        for ha, hb, scale, label, k2, shift, _ in rows:
+            margin = 2 * EPS_GEO / scale
+            lo = math.nextafter(ha + margin, math.inf)
+            guards += lo, max(lo, math.nextafter(hb - margin, -math.inf))
+            steps += (label, k2, shift), None
+        tables.append((guards, steps, [row[0] for row in rows], rows))
+    return tables, {row[3]: row for *_, rows in tables for row in rows}
 
 
 def _point(row, h):
@@ -124,33 +136,36 @@ def trace(surf, start, direction, max_crossings):
     nearly parallel to d (a ray parameter t <= 0 to its exit edge, solved
     in 2D), or if the trajectory passes within EPS_GEO of a vertex; the
     caller may perturb the start and retry.  Each crossing is one step of
-    the interval exchange of _exit_tables, with vertex distances
-    (h - h(a)) |e|/den and (h(b) - h) |e|/den along its exit edge.
+    the interval exchange of _exit_tables, one bisection of its guards;
+    they pass no h that the exact test, run within 2 EPS_GEO of a vertex,
+    rejects: vertex distances (h - h(a)) |e|/den and (h(b) - h) |e|/den.
     """
     k, (px, py) = start
     if not surf.polygons[k].contains((px, py), tol=EPS_GEO):
         raise VertexHit(f"start {start[1]} lies outside polygon {k}")
     dx, dy = d = (math.cos(direction), math.sin(direction))
-    tables, _ = _exit_tables(surf, d)
-    h = dx * py - dy * px
-    hs, rows = tables[k]
+    tables, by_label = _exit_tables(surf, d)
+    h0 = h = dx * py - dy * px
+    *_, hs, rows = tables[k]
     j = max(bisect_right(hs, h) - 1, 0)
     *_, ax, ay, ex, ey, _, _, den, _, _ = rows[j][6]
     if ((ax - px) * ey - (ay - py) * ex) / den <= 0:
         raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
-    exits, heights = [], []
+    labels = []
     for _ in range(max_crossings):
-        hs, rows = tables[k]
-        j = bisect_right(hs, h) - 1
-        ha, hb, scale, _, k, shift, _ = row = rows[j]
-        if (h - ha) * scale < EPS_GEO or (hb - h) * scale < EPS_GEO:
-            row = rows[max(j, 0)]
-            raise VertexHit(f"hit vertex of edge {row[6][1]} at "
-                            f"{_point(row, h)}")
-        exits.append(row)
-        heights.append(h)
+        guards, steps, hs, rows = tables[k]
+        step = steps[bisect_right(guards, h)]
+        if step is None:
+            j = max(bisect_right(hs, h) - 1, 0)
+            ha, hb, scale, *_ = row = rows[j]
+            if (h - ha) * scale < EPS_GEO or (hb - h) * scale < EPS_GEO:
+                raise VertexHit(f"hit vertex of edge {row[6][1]} at "
+                                f"{_point(row, h)}")
+            step = steps[2 * j + 1]
+        label, k, shift = step
+        labels.append(label)
         h += shift
-    return CuttingWord([row[3] for row in exits], exits, heights, start[1], d)
+    return CuttingWord(labels, by_label, h0, start[1], d)
 
 
 def _cylinder(surf, word, direction):

@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouwmoller.cli import GOLDEN_D0_LABELS, GOLDEN_GRIDS, GOLDEN_PERMS
+from bouwmoller import diagrams
+from bouwmoller.cli import (GOLDEN_D0_LABELS, GOLDEN_GRIDS, GOLDEN_PERMS,
+                            check_substitution_goldens)
 from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
                                  arrow_alphabet, build_D0, build_T0,
                                  build_Ti, sector_permutation, t0_grid)
@@ -287,3 +289,26 @@ def test_walks_are_admissible_in_every_permuted_sector(m, n, rng):
             continue
         perm = sector_permutation(m, n, i)
         assert i in admissible_in(m, n, [perm[x] for x in word])
+
+
+def test_sector_permutations_build_each_surface_once(monkeypatch):
+    # every sector of M(4,4) reads one surface, and the golden check
+    # clears it with the permutations, so criterion 2 still times a cold
+    # build
+    built = []
+
+    def counting_build(m, n):
+        built.append((m, n))
+        return build_surface(m, n)
+
+    monkeypatch.setattr(diagrams, "build_surface", counting_build)
+    diagrams._surface.cache_clear()
+    sector_permutation.cache_clear()
+    for i in range(8):
+        try:
+            sector_permutation(4, 4, i)
+        except ValueError:
+            pass  # even sectors of a both-even surface
+    assert built == [(4, 4)]
+    check_substitution_goldens()
+    assert (4, 3) in built[1:]

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import bouwmoller
@@ -43,3 +45,15 @@ def test_the_geometry_layers_import_no_combinatorics():
     # takes its periodic directions from the cylinders, not the diagrams
     assert _package_imports("surface") == set()
     assert _package_imports("tracer") <= {".surface"}
+
+
+def test_the_cli_imports_without_dataclasses():
+    # every CLI start pays its imports; dataclasses would pull in inspect,
+    # ast, dis and tokenize.  pytest loads both, so a fresh interpreter
+    # checks it
+    probe = ("import sys, bouwmoller.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bouwmoller import tracer
 from bouwmoller.diagrams import admissible_in, build_Ti
 from bouwmoller.renorm import derive, fixed_point_form, normalize
 from bouwmoller.surface import build_surface
@@ -106,6 +107,70 @@ def test_start_through_decisions_are_bit_exact():
                     digest.update(repr(word).encode())
     assert digest.hexdigest() == (
         "7a76824438e2433afcd108855a6bc74ed9a056a59c99969b3a397139d35eadc1")
+
+
+def test_vertex_decisions_near_side_directions_are_bit_exact():
+    # the first 20 labels through every side of 2 <= m <= 7, 3 <= n <= 6,
+    # or the VertexHit message, within 1e-9 and 1e-11 of the directions
+    # j*pi/(2n), where trajectories pass within rounding of EPS_GEO from
+    # vertices; a guard deciding these without the exact test changes 9
+    digest = hashlib.sha256()
+    for m in range(2, 8):
+        for n in range(3, 7):
+            surf = build_surface(m, n)
+            for j in range(4 * n):
+                for offset in (1e-9, -1e-9, 1e-11, -1e-11):
+                    theta = j * math.pi / (2 * n) + offset
+                    for label in surf.labels:
+                        try:
+                            out = trace(surf,
+                                        start_through(surf, label, theta),
+                                        theta, 20).labels
+                        except VertexHit as e:
+                            out = str(e)
+                        digest.update(repr(out).encode())
+    assert digest.hexdigest() == (
+        "23ad1daed4159fdad5c817ac6be43f26d874fafc4d60ab19e444031198679971")
+
+
+def _vertex_threshold_misses():
+    # starts 1e-3 behind the point at along-edge distance delta from a
+    # vertex that two exit rows share, on either of the two edges: trace
+    # must raise VertexHit exactly when delta < EPS_GEO (1e-9)
+    misses = []
+    for m, n in ((4, 3), (3, 5), (5, 4)):
+        surf = build_surface(m, n)
+        for theta in (0.3, 1.3, 2.6, 4.4, 5.5):
+            dx, dy = math.cos(theta), math.sin(theta)
+            tables, _ = tracer._exit_tables(surf, (dx, dy))
+            for *_, rows in tables:
+                for before, after in zip(rows, rows[1:]):
+                    if max(before[2], after[2]) > 1e3:
+                        continue
+                    vx, vy = before[6][6:8]
+                    for row, sign in ((before, -1), (after, 1)):
+                        k, _, _, _, ex, ey, *_ = row[6]
+                        norm = math.hypot(ex, ey)
+                        for factor in (0.999, 1.001, 1.999, 2.001):
+                            delta = sign * factor * 1e-9 / norm
+                            start = (k, (vx + delta * ex - 1e-3 * dx,
+                                         vy + delta * ey - 1e-3 * dy))
+                            try:
+                                got = trace(surf, start, theta, 1).labels
+                            except VertexHit:
+                                got = "VertexHit"
+                            want = "VertexHit" if factor < 1 else [row[3]]
+                            if got != want:
+                                misses.append((m, n, theta, k, factor, got))
+    return misses
+
+
+def test_vertex_threshold_is_eps_geo(monkeypatch):
+    assert _vertex_threshold_misses() == []
+    # negative control: at a threshold of 3e-9 every delta above 1e-9 misses
+    monkeypatch.setattr(tracer, "EPS_GEO", 3e-9)
+    misses = _vertex_threshold_misses()
+    assert {miss[4] for miss in misses} == {1.001, 1.999, 2.001}
 
 
 def test_surface_json_is_unchanged():
