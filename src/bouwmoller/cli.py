@@ -13,16 +13,15 @@ import random
 import sys
 from functools import lru_cache
 
-from .diagrams import (NotAdmissible, NotChained, _surface, arrow_alphabet,
+from .diagrams import (NotAdmissible, NotChained, arrow_alphabet,
                        admissible_in, build_D0, build_T0, build_Ti,
                        sector_permutation, t0_grid)
 from .farey import (BoundaryOrbit, NoConvergence, DomainError, _angle, _apply,
                     ff_branches, farey_F, farey_FF, gamma, itinerary,
                     direction_from_itinerary, reflection, subsectors)
 from .hooper import build_hooper, moduli
-from .renorm import (_generation_steps, derivative_sequence, derive,
-                     fixed_point_form, generate, generation_diagram, normalize,
-                     pseudo_substitution, substitution, tr_operator,
+from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
+                     normalize, pseudo_substitution, substitution, tr_operator,
                      tr_operator_inverse)
 from .surface import _num, build_surface
 from .tracer import (NotCoAdjacent, VertexHit, _cylinder, realize_periodic,
@@ -224,11 +223,6 @@ def check_derivation_golden():
 
 def check_substitution_goldens():
     """Pseudo-substitution tables and the composed table for (4,3)."""
-    generation_diagram.cache_clear()
-    _generation_steps.cache_clear()
-    pseudo_substitution.cache_clear()
-    sector_permutation.cache_clear()
-    _surface.cache_clear()
     bad = []
     for (m, n, i), table in sorted(GOLDEN_PSUB.items()):
         got = pseudo_substitution(m, n, i)

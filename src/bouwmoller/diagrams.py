@@ -3,7 +3,7 @@
 import json
 from functools import lru_cache
 
-from .surface import build_surface
+from .surface import side_seats
 
 
 class NotAdmissible(ValueError):
@@ -115,11 +115,6 @@ def build_D0(m, n):
 
 
 @lru_cache(maxsize=None)
-def _surface(m, n):
-    return build_surface(m, n)  # one build for every sector_permutation
-
-
-@lru_cache(maxsize=None)
 def sector_permutation(m, n, i):
     """Side permutation normalizing sector-i trajectories to sector 0.
 
@@ -142,18 +137,19 @@ def sector_permutation(m, n, i):
     labels = range(1, n * (m - 1) + 1)
     if i == 0:
         return {s: s for s in labels}
-    surf = _surface(m, n)
-    want_row = (lambda s: m - surf.row(s)) if (i - n) % 2 == 0 else surf.row
+    seat_label = {seat: s for s in labels for seat in side_seats(m, n, s)}
+    row = {s: (s - 1) // n + 1 for s in labels}
+    want_row = {s: m - r if (i - n) % 2 == 0 else r for s, r in row.items()}
 
     def side_map(image):
         # the side bijection induced by sending polygon k to image(k), or None
         perm = {}
-        for (k, e), s in surf.seat_label.items():
-            t = surf.seat_label.get((image(k), (i + 1 + n - e) % (2 * n)))
+        for (k, e), s in seat_label.items():
+            t = seat_label.get((image(k), (i + 1 + n - e) % (2 * n)))
             if t is None or perm.setdefault(s, t) != t:
                 return None
         if (sorted(perm.values()) != list(labels)
-                or any(surf.row(perm[s]) != want_row(s) for s in labels)):
+                or any(row[perm[s]] != want_row[s] for s in labels)):
             return None
         return {s: perm[s] for s in labels}
 

@@ -24,6 +24,22 @@ def forward_class(m, n, k):
     return 1 if (n % 2 == 1 or k % 2 == 0) else 0
 
 
+def side_seats(m, n, label):
+    """Seats [(k, e), (k+1, e + n mod 2n)] of side label of M(m,n).
+
+    Row r = k+1 holds labels (r-1)n+1..rn, numbered in the zigzag order of
+    polygon k's forward sides: entry j is the edge the ray from entry j-1
+    reaches, 2*ceil(j/2) edge indices from entry 0, on alternate sides of
+    it.  Raises KeyError for a label outside 1..n(m-1).
+    """
+    if label not in range(1, n * (m - 1) + 1):
+        raise KeyError(label)
+    k, j = divmod(label - 1, n)
+    c = forward_class(m, n, k)
+    e = (c + (-1) ** (j + c + 1) * 2 * ((j + 1) // 2)) % (2 * n)
+    return [(k, e), (k + 1, (e + n) % (2 * n))]
+
+
 class Polygon:
     """One semi-regular 2n-gon with vertices in counterclockwise order.
 
@@ -98,17 +114,6 @@ class Polygon:
         return True
 
 
-class Side:
-    """A glued side of the surface: one label, two polygon edge slots."""
-
-    def __init__(self, label, row, seats, length, direction):
-        self.label = label
-        self.row = row
-        self.seats = seats  # [(polygon, edge), (polygon, edge)], forward seat first
-        self.length = length
-        self.direction = direction  # angle mod pi in [0, pi)
-
-
 class Surface:
     """M(m,n): a horizontal chain of m semi-regular 2n-gons glued edge to edge.
 
@@ -116,7 +121,7 @@ class Surface:
 
     Sides are labeled 1..n(m-1); the sides between polygons r-1 and r form
     row r and are numbered in the zigzag order induced by rays alternating
-    between directions pi and pi/n from side midpoints.
+    between directions pi and pi/n from side midpoints (side_seats).
 
     The tracing geometry is built once: edge_table[k] holds
     polygon k's edge_rows(), and glue_table[k][e] is (label, k2, e2, sx, sy)
@@ -135,43 +140,17 @@ class Surface:
             poly.translate(x - x0, -y0)
             x += x1 - x0
         self.edge_table = [poly.edge_rows() for poly in self.polygons]
-        self.sides = self._label_edges()
-        self.seat_label = {}
         self.glue_table = [[None] * (2 * n) for _ in range(m)]
-        for side in self.sides.values():
-            s1, s2 = side.seats
+        for label in self.labels:
+            s1, s2 = side_seats(m, n, label)
+            if self.polygons[s2[0]].is_degenerate(s2[1]):
+                raise RuntimeError(f"side {label} is glued to degenerate "
+                                   f"edge {s2[1]} of polygon {s2[0]}")
             for (k, e), (k2, e2) in ((s1, s2), (s2, s1)):
-                self.seat_label[(k, e)] = side.label
                 b = self.polygons[k].edge(e)[1]
                 a2 = self.polygons[k2].edge(e2)[0]
-                self.glue_table[k][e] = (side.label, k2, e2,
+                self.glue_table[k][e] = (label, k2, e2,
                                          a2[0] - b[0], a2[1] - b[1])
-
-    def _zigzag(self, k):
-        """Edge indices of polygon k's forward sides in zigzag label order.
-
-        Entry j is the edge the ray from entry j-1 reaches: 2*ceil(j/2) edge
-        indices from entry 0, on alternate sides of it.
-        """
-        c = forward_class(self.m, self.n, k)
-        return [(c + (-1) ** (j + c + 1) * 2 * ((j + 1) // 2)) % (2 * self.n)
-                for j in range(self.n)]
-
-    def _label_edges(self):
-        sides = {}
-        for r in range(1, self.m):
-            k = r - 1
-            order = self._zigzag(k)
-            for j, e in enumerate(order):
-                label = (r - 1) * self.n + j + 1
-                partner = (e + self.n) % (2 * self.n)
-                if self.polygons[k + 1].is_degenerate(partner):
-                    raise RuntimeError(f"side {label} is glued to degenerate "
-                                       f"edge {partner} of polygon {k + 1}")
-                ang = (e * math.pi / self.n) % math.pi
-                sides[label] = Side(label, r, [(k, e), (k + 1, partner)],
-                                    self.polygons[k].edge_length(e), ang)
-        return sides
 
     @property
     def labels(self):
@@ -181,7 +160,7 @@ class Surface:
         return (label - 1) // self.n + 1
 
     def seats(self, label):
-        return self.sides[label].seats
+        return side_seats(self.m, self.n, label)
 
     def to_json(self, indent=None):
         data = {
@@ -192,12 +171,15 @@ class Surface:
                  "vertices": [[_num(x), _num(y)] for x, y in p.vertices]}
                 for p in self.polygons
             ],
-            "sides": [
-                {"label": s.label, "row": s.row, "seats": [list(t) for t in s.seats],
-                 "length": _num(s.length), "direction": _num(s.direction)}
-                for s in (self.sides[l] for l in self.labels)
-            ],
+            "sides": [],
         }
+        for label in self.labels:
+            (k, e), _ = seats = self.seats(label)
+            data["sides"].append({
+                "label": label, "row": self.row(label),
+                "seats": [list(t) for t in seats],
+                "length": _num(self.polygons[k].edge_length(e)),
+                "direction": _num((e * math.pi / self.n) % math.pi)})
         return json.dumps(data, sort_keys=True, indent=indent)
 
     def to_svg(self, segments=()):

@@ -48,7 +48,7 @@ class CuttingWord:
 
     def __init__(self, labels, by_label, h0, start, d):
         self.labels = labels
-        self._path = by_label, h0, start, d
+        self._path = labels.copy(), by_label, h0, start, d
 
     def __iter__(self):
         return iter(self.labels)
@@ -59,9 +59,9 @@ class CuttingWord:
     @cached_property
     def crossings(self):
         """Hit point q from each exit row and h; t sums d . (q - entry)."""
-        by_label, h, (px, py), (dx, dy) = self._path
+        labels, by_label, h, (px, py), (dx, dy) = self._path
         out, t = [], 0.0
-        for label in self.labels:
+        for label in labels:
             row = by_label[label]
             qx, qy = q = _point(row, h)
             t += dx * (qx - px) + dy * (qy - py)
@@ -204,7 +204,7 @@ def _cylinder(surf, word, direction):
 def start_through(surf, label, direction):
     """Start (polygon, point) just behind the side so the first crossing is it."""
     d = (math.cos(direction), math.sin(direction))
-    if label not in surf.sides:
+    if label not in surf.labels:
         raise KeyError(label)
     row = _exit_tables(surf, d)[1].get(label)
     if row is None:

@@ -1,5 +1,6 @@
 """Transition diagrams, sector permutations, and the arrow alphabet."""
 
+import hashlib
 import json
 import math
 import random
@@ -7,13 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouwmoller import diagrams
+from bouwmoller import renorm
 from bouwmoller.cli import (GOLDEN_D0_LABELS, GOLDEN_GRIDS, GOLDEN_PERMS,
                             check_substitution_goldens)
 from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
                                  arrow_alphabet, build_D0, build_T0,
                                  build_Ti, sector_permutation, t0_grid)
-from bouwmoller.surface import build_surface
+from bouwmoller.surface import Surface, build_surface
 from bouwmoller.tracer import VertexHit, sector_of, start_through, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
@@ -92,8 +93,9 @@ def reflected_candidates(m, n, i):
     c2, s2 = math.cos((i + 1) * math.pi / n), math.sin((i + 1) * math.pi / n)
     centres = [[sum(v) / (2 * n) for v in zip(*p.vertices)] for p in surf.polygons]
     seats = [[] for _ in range(m)]
-    for (k, e), s in surf.seat_label.items():
-        seats[k].append((surf.polygons[k].edge_midpoint(e), s))
+    for s in labels:
+        for k, e in surf.seats(s):
+            seats[k].append((surf.polygons[k].edge_midpoint(e), s))
     want_row = (lambda s: m - surf.row(s)) if (i - n) % 2 == 0 else surf.row
     candidates = []
     for image in (lambda k: k, lambda k: m - 1 - k):
@@ -291,24 +293,39 @@ def test_walks_are_admissible_in_every_permuted_sector(m, n, rng):
         assert i in admissible_in(m, n, [perm[x] for x in word])
 
 
-def test_sector_permutations_build_each_surface_once(monkeypatch):
-    # every sector of M(4,4) reads one surface, and the golden check
-    # clears it with the permutations, so criterion 2 still times a cold
-    # build
-    built = []
+def test_sector_permutations_build_no_surface(monkeypatch):
+    # seats are index arithmetic, so neither the permutations of every
+    # sector of M(4,4) nor the golden check lays out a polygon
+    def no_build(self, m, n):
+        raise AssertionError(f"built M({m},{n})")
 
-    def counting_build(m, n):
-        built.append((m, n))
-        return build_surface(m, n)
-
-    monkeypatch.setattr(diagrams, "build_surface", counting_build)
-    diagrams._surface.cache_clear()
-    sector_permutation.cache_clear()
+    monkeypatch.setattr(Surface, "__init__", no_build)
+    for cached in (sector_permutation, renorm.generation_diagram,
+                   renorm._generation_steps, renorm.pseudo_substitution):
+        cached.cache_clear()
     for i in range(8):
         try:
             sector_permutation(4, 4, i)
         except ValueError:
             pass  # even sectors of a both-even surface
-    assert built == [(4, 4)]
-    check_substitution_goldens()
-    assert (4, 3) in built[1:]
+    assert check_substitution_goldens()["status"] == "pass"
+
+
+def test_surfaces_and_sector_permutations_are_unchanged():
+    # pins the JSON, the gluing and the SVG of 198 surfaces, and every
+    # sector permutation of each, or its error
+    digest = hashlib.sha256()
+    for m in range(2, 13):
+        for n in range(3, 21):
+            surf = build_surface(m, n)
+            for text in (surf.to_json(), repr(surf.glue_table), surf.to_svg()):
+                digest.update(text.encode())
+            for i in range(2 * n):
+                try:
+                    perm = sector_permutation(m, n, i)
+                except ValueError as exc:
+                    digest.update(str(exc).encode())
+                    continue
+                digest.update(repr(sorted(perm.items())).encode())
+    assert digest.hexdigest() == (
+        "7807f011aeb8e9e202b7208e454497a4cbd62f04fea569d3ceef484d4e43302d")

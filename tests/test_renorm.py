@@ -218,7 +218,7 @@ def test_derivative_sequence_is_unchanged():
             for i in range(2 * n):
                 for _ in range(2):
                     theta = (i + rng.uniform(0.02, 0.98)) * math.pi / n
-                    label = rng.choice(sorted(surf.sides))
+                    label = rng.choice(surf.labels)
                     try:
                         word = trace(surf, start_through(surf, label, theta),
                                      theta, rng.randrange(40, 400)).labels

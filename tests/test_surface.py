@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bouwmoller import surface
 from bouwmoller.surface import (NonPositiveShape, Polygon, build_surface,
-                                forward_class, polygon_params)
+                                forward_class, polygon_params, side_seats)
 from bouwmoller.tracer import VertexHit, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
@@ -75,6 +75,7 @@ def zigzag_ray_misses(surf, k, order):
     if forward_class(surf.m, surf.n, k) == 0:
         rays.reverse()
     poly = surf.polygons[k]
+    seat_label = {seat: s for s in surf.labels for seat in surf.seats(s)}
     misses = []
     for j in range(len(order) - 1):
         start = (k, poly.edge_midpoint(order[j]))
@@ -82,9 +83,14 @@ def zigzag_ray_misses(surf, k, order):
             label = trace(surf, start, rays[j % 2], 1).labels[0]
         except VertexHit:  # a ray along its own edge reaches no entry
             label = None
-        if label is None or label != surf.seat_label[k, order[j + 1]]:
+        if label is None or label != seat_label[k, order[j + 1]]:
             misses.append(j)
     return misses
+
+
+def zigzag(m, n, k):
+    """Polygon k's forward edges in the label order of row k + 1."""
+    return [side_seats(m, n, k * n + j)[0][1] for j in range(1, n + 1)]
 
 
 def test_zigzag_is_where_the_rays_go():
@@ -92,14 +98,14 @@ def test_zigzag_is_where_the_rays_go():
         for n in range(3, 21):
             surf = build_surface(m, n)
             for k in range(m - 1):
-                order = surf._zigzag(k)
+                order = zigzag(m, n, k)
                 assert order[0] == forward_class(m, n, k)
                 assert zigzag_ray_misses(surf, k, order) == []
     # negative control: two entries swapped
     for m, n in SMALL:
         surf = build_surface(m, n)
         for k in range(m - 1):
-            order = surf._zigzag(k)
+            order = zigzag(m, n, k)
             order[1], order[2] = order[2], order[1]
             assert zigzag_ray_misses(surf, k, order) != []
 
@@ -110,13 +116,18 @@ def test_side_count_and_rows():
     assert [surf.row(lab) for lab in surf.labels] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
 
+def directions(surf):
+    """Side label -> direction mod pi, as the surface JSON gives it."""
+    return {s["label"]: s["direction"] for s in json.loads(surf.to_json())["sides"]}
+
+
 def test_side_directions_43():
     surf = build_surface(4, 3)
     want = {1: math.pi / 3, 4: math.pi / 3, 7: math.pi / 3,
             2: 2 * math.pi / 3, 5: 2 * math.pi / 3, 8: 2 * math.pi / 3,
             3: 0.0, 6: 0.0, 9: 0.0}
     for lab, ang in want.items():
-        assert abs(surf.sides[lab].direction - ang) < 1e-9
+        assert abs(directions(surf)[lab] - ang) < 1e-9
 
 
 def test_side_directions_34():
@@ -125,7 +136,7 @@ def test_side_directions_34():
             3: 3 * math.pi / 4, 5: 0.0, 8: 0.0,
             6: math.pi / 2, 7: math.pi / 2}
     for lab, ang in want.items():
-        assert abs(surf.sides[lab].direction - ang) < 1e-9
+        assert abs(directions(surf)[lab] - ang) < 1e-9
 
 
 def test_end_polygons_have_one_vanishing_side_class():
@@ -232,3 +243,14 @@ def test_structure_invariants(m, n):
             seen.add(seat)
         k1, k2 = seats[0][0], seats[1][0]
         assert {abs(k1 - k2)} == {1}
+
+
+def test_side_seats_reject_labels_outside_the_surface():
+    m, n = 4, 3
+    for label in (0, n * (m - 1) + 1, -1):
+        with pytest.raises(KeyError):
+            side_seats(m, n, label)
+        with pytest.raises(KeyError):
+            build_surface(m, n).seats(label)
+    assert side_seats(m, n, 1) == [(0, 1), (1, 4)]
+    assert side_seats(m, n, n * (m - 1)) == [(2, 3), (3, 0)]

@@ -310,10 +310,28 @@ def test_start_through_rejects_parallel_directions():
         surf = build_surface(m, n)
         for label in surf.labels:
             for turn in (0.0, math.pi):
-                theta = surf.sides[label].direction + turn
+                (_, e), _ = surf.seats(label)
+                theta = (e * math.pi / n) % math.pi + turn
                 with pytest.raises(VertexHit):
                     start_through(surf, label, theta)
                 assert _cylinder(surf, [label], theta) is None
+
+
+def test_start_through_rejects_unknown_sides():
+    surf = build_surface(4, 3)
+    for label in (0, 10, -1):
+        with pytest.raises(KeyError):
+            start_through(surf, label, 0.35)
+
+
+def test_crossings_ignore_later_edits_of_the_labels():
+    surf = build_surface(4, 3)
+    start = start_through(surf, 1, 0.35)
+    word = trace(surf, start, 0.35, 5)
+    word.labels[2] = 3
+    fresh = trace(surf, start, 0.35, 5)
+    assert [c.polygon for c in word.crossings] == \
+        [c.polygon for c in fresh.crossings]
 
 
 def test_start_through_crosses_its_side_first():
