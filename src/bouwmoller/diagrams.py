@@ -1,7 +1,8 @@
 """Transition and derivation diagrams, sector permutations, admissibility."""
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, getitem
 
 from .surface import side_seats
 
@@ -161,13 +162,12 @@ def sector_permutation(m, n, i):
 
 @lru_cache(maxsize=None)
 def _sector_masks(m, n):
-    """Admissibility table of M(m,n): transition -> bitmask of sectors.
-
-    Bit i of the mask of (a, b) is set when T_i has the arrow (a, b), and
-    bit i + n when it has (b, a), so that T_i admits the reversed word.
-    Also returns the mask of every sector with a reflecting normalization.
-    """
-    masks, full = {}, 0
+    """Transition table of M(m,n): (code, masks, full).  code[a][b] numbers
+    each transition (a, b) that some T_i has, either way round; bit i of
+    masks[code[a][b]] is set when T_i has the arrow (a, b), and bit i + n
+    when it has (b, a), so that T_i admits the reversed word.  full is the
+    mask of every sector with a reflecting normalization."""
+    pairs, full = {}, 0
     for i in range(n):
         try:
             arrows = build_Ti(m, n, i).arrows
@@ -175,9 +175,23 @@ def _sector_masks(m, n):
             continue
         full |= 1 << i | 1 << (i + n)
         for a, b in arrows:
-            masks[(a, b)] = masks.get((a, b), 0) | 1 << i
-            masks[(b, a)] = masks.get((b, a), 0) | 1 << (i + n)
-    return masks, full
+            pairs[(a, b)] = pairs.get((a, b), 0) | 1 << i
+            pairs[(b, a)] = pairs.get((b, a), 0) | 1 << (i + n)
+    code = {}
+    for c, (a, b) in enumerate(pairs):
+        code.setdefault(a, {})[b] = c
+    return code, list(pairs.values()), full
+
+
+def _word_codes(m, n, word):
+    """Codes of the word's transitions and the AND of their masks; (None, 0)
+    if one is in no T_i.  Dicts, unlike lists, do not wrap a letter -1."""
+    code, masks, full = _sector_masks(m, n)
+    try:
+        codes = list(map(getitem, map(code.__getitem__, word[:-1]), word[1:]))
+    except KeyError:
+        return None, 0
+    return codes, reduce(and_, map(masks.__getitem__, set(codes)), full)
 
 
 def admissible_in(m, n, word):
@@ -188,12 +202,7 @@ def admissible_in(m, n, word):
     distinct transitions in one table per surface (_sector_masks), built
     from the n diagrams T_i on first use.
     """
-    word = list(word)
-    masks, mask = _sector_masks(m, n)
-    for pair in set(zip(word, word[1:])):
-        mask &= masks.get(pair, 0)
-        if not mask:
-            break
+    mask = _word_codes(m, n, list(word))[1]
     return {i for i in range(2 * n) if mask >> i & 1}
 
 

@@ -5,6 +5,7 @@ Matrices are tuples of row tuples, applied as a0*x + a1*y on every machine."""
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import islice
 
 from .tracer import sector_of
 
@@ -82,42 +83,45 @@ def _angle(v):
 
 @lru_cache(maxsize=None)
 def _step_data(m, n):
-    """gamma, pi/m and reflection(n, m, a) at index a, as _f_step reads them."""
-    return gamma(m, n), math.pi / m, tuple(reflection(n, m, a) for a in range(m))
+    """gamma, pi/m, pi/(2m), m - 1 and reflection(n, m, a) at index a."""
+    return (gamma(m, n), math.pi / m, 0.5 * math.pi / m, m - 1,
+            tuple(reflection(n, m, a) for a in range(m)))
 
 
-def _f_step(m, n, v, tol):
-    """One projective renormalization step on a direction vector of M(m,n).
-
-    The image w = gamma v lies between angles pi/m and pi; representatives
-    that wrapped past pi are folded back.  Its angle psi falls in sector a
-    of M(n,m), [a pi/m, (a+1) pi/m], which reflection(n, m, a) takes to the
-    standard sector.  Returns (a, normalized image vector, boundary flag);
-    the flag marks psi within tol of either bound of sector a.  _apply and
-    _upper are written out, with the same arithmetic."""
-    ((g0, g1), (h0, h1)), step, refl = _step_data(m, n)
+def _orbit(m, n, v, tol):
+    """Renormalization steps from a direction vector, alternately from M(m,n)
+    and M(n,m), with the arithmetic of _apply and _upper: gamma v has angle
+    psi in sector a of the dual, [a pi/m, (a+1) pi/m] (psi < pi/(2m) wraps
+    past pi), and reflection(n, m, a) takes it to the standard sector.
+    Yields (a, normalized image, whether psi is within tol of a bound of a)."""
+    atan2, hypot, pi = math.atan2, math.hypot, math.pi
     x, y = v
-    x, y = g0 * x + g1 * y, h0 * x + h1 * y
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    psi = math.atan2(y, x)
-    if psi < 0.5 * step:
-        psi += math.pi
-    a = min(max(int(psi // step), 1), m - 1)
-    on_boundary = min(abs(psi - a * step), abs(psi - (a + 1) * step)) < tol
-    (g0, g1), (h0, h1) = refl[a]
-    x, y = g0 * x + g1 * y, h0 * x + h1 * y
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    r = math.hypot(x, y)
-    return a, (x / r, y / r), on_boundary
+    both = _step_data(m, n), _step_data(n, m)
+    while True:
+        for ((g0, g1), (h0, h1)), step, half, last, refl in both:
+            x, y = g0 * x + g1 * y, h0 * x + h1 * y
+            if y < 0 or (y == 0 and x < 0):
+                x, y = -x, -y
+            psi = atan2(y, x)
+            if psi < half:
+                psi += pi
+            a = int(psi // step)  # clamped by comparisons, cheaper than min, max
+            a = 1 if a < 1 else last if a > last else a
+            on_boundary = abs(psi - a * step) < tol or abs(psi - (a + 1) * step) < tol
+            (g0, g1), (h0, h1) = refl[a]
+            x, y = g0 * x + g1 * y, h0 * x + h1 * y
+            if y < 0 or (y == 0 and x < 0):
+                x, y = -x, -y
+            r = hypot(x, y)
+            x, y = x / r, y / r
+            yield a, (x, y), on_boundary
 
 
 def farey_F(m, n, theta):
     """Normalized projective step in angle coordinates: (dual sector, angle)."""
     if not -EPS_DYN <= theta <= math.pi / n + EPS_DYN:
         raise DomainError(f"theta {theta} outside [0, pi/{n}]")
-    a, out, _ = _f_step(m, n, (math.cos(theta), math.sin(theta)), 0.0)
+    a, out, _ = next(_orbit(m, n, (math.cos(theta), math.sin(theta)), 0.0))
     psi = _angle(out)
     if psi > 0.5 * math.pi:
         psi = max(0.0, psi - math.pi)
@@ -154,6 +158,11 @@ def _branch_matrix(m, n, a, b):
                      reflection(n, m, a)), gamma(m, n))
 
 
+@lru_cache(maxsize=None)
+def _branch_adj(m, n, a, b):
+    return _adj(_branch_matrix(m, n, a, b))
+
+
 def ff_branches(m, n):
     """Branch domains and matrices of the composed map, keyed by (a, b).
 
@@ -181,10 +190,7 @@ class Itinerary(namedtuple("Itinerary", "b0 pairs")):
 
     def flatten(self):
         """Sector sequence (b0, a1, b1, a2, b2, ...)."""
-        out = [self.b0]
-        for a, b in self.pairs:
-            out.extend((a, b))
-        return out
+        return [self.b0, *(x for pair in self.pairs for x in pair)]
 
 
 def itinerary(m, n, theta, k):
@@ -197,10 +203,9 @@ def itinerary(m, n, theta, k):
     v = (math.cos(theta), math.sin(theta))
     # Sector n is sector 0 traversed backwards (see renorm.normalize).
     v = _upper(_apply(reflection(m, n, 0 if b0 == n else b0), v))
+    orbit = _orbit(m, n, v, EPS_DYN)
     pairs = []
-    for _ in range(k):
-        a, v, bad_a = _f_step(m, n, v, EPS_DYN)
-        b, v, bad_b = _f_step(n, m, v, EPS_DYN)
+    for (a, _, bad_a), (b, _, bad_b) in islice(zip(orbit, orbit), k):
         if bad_a or bad_b:
             raise BoundaryOrbit("orbit within quarantine band of a boundary")
         pairs.append((a, b))
@@ -222,11 +227,14 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
         if not (1 <= a <= m - 1 and 1 <= b <= n - 1):
             raise ValueError(f"branch pair ({a}, {b}) out of range")
     e1 = (math.cos(math.pi / n), math.sin(math.pi / n))
-    mat = ((1.0, 0.0), (0.0, 1.0))
-    for a, b in pairs:
-        mat = _mul(mat, _adj(_branch_matrix(m, n, a, b)))
-        top = max(abs(x) for row in mat for x in row)
-        mat = tuple((x / top, y / top) for x, y in mat)
+    t0, t1, u0, u1 = 1.0, 0.0, 0.0, 1.0
+    for a, b in pairs:  # _mul by the adjugate, scaled to max entry 1
+        (p, q), (r, s) = _branch_adj(m, n, a, b)
+        x0, x1 = t0 * p + t1 * r, t0 * q + t1 * s
+        y0, y1 = u0 * p + u1 * r, u0 * q + u1 * s
+        top = max(abs(x0), abs(x1), abs(y0), abs(y1))
+        t0, t1, u0, u1 = x0 / top, x1 / top, y0 / top, y1 / top
+    mat = (t0, t1), (u0, u1)
     lo, hi = sorted((_angle(_apply(mat, (1.0, 0.0))), _angle(_apply(mat, e1))))
     if hi - lo >= tol:
         raise NoConvergence(

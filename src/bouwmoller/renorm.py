@@ -1,9 +1,10 @@
 """Derivation, generation, substitutions, and the operators tying them together."""
 
 from functools import lru_cache
+from operator import getitem
 
-from .diagrams import (NotAdmissible, admissible_in, arrow_alphabet, build_D0,
-                       build_Ti, sector_permutation)
+from .diagrams import (NotAdmissible, _sector_masks, _word_codes, admissible_in,
+                       arrow_alphabet, build_D0, build_Ti, sector_permutation)
 
 
 def derive(m, n, word, cyclic=False):
@@ -15,35 +16,44 @@ def derive(m, n, word, cyclic=False):
     word = list(word)
     if len(word) < 2:
         raise ValueError("derivation needs at least two letters")
-    nxt = word[1:] + (word[:1] if cyclic else [])
-    labels = list(map(_sector_steps(m, n, 0).get, zip(word, nxt)))
+    path = word + word[:1] if cyclic else word
+    code, steps = _sector_masks(m, n)[0], _sector_steps(m, n, 0)
+    try:  # the codes of _word_codes, without the mask
+        labels = list(map(steps.__getitem__, map(
+            getitem, map(code.__getitem__, path[:-1]), path[1:])))
+    except KeyError:
+        labels = [None]
     if None in labels:
-        k = labels.index(None)
-        raise NotAdmissible(f"transition ({word[k]}, {nxt[k]}) "
-                            f"not in T_0 of M({m},{n})")
+        a, b = next((a, b) for a, b in zip(path, path[1:])
+                    if 0 not in admissible_in(m, n, [a, b]))
+        raise NotAdmissible(f"transition ({a}, {b}) not in T_0 of M({m},{n})")
     return list(filter(None, labels))
 
 
 def normalize(m, n, word):
     """Smallest admissible sector and the word mapped into T_0."""
     word = list(word)
-    sectors = admissible_in(m, n, word)
-    if not sectors:
+    mask = _word_codes(m, n, word)[1]
+    if not mask:
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
-    i = min(sectors)
+    i = (mask & -mask).bit_length() - 1  # the lowest sector in the mask
     perm = sector_permutation(m, n, i % n)
     return i, [perm[x] for x in (word[::-1] if i >= n else word)]
 
 
 @lru_cache(maxsize=None)
 def _sector_steps(m, n, i):
-    """derive after normalize from sector i as one table (D_0 for i = 0):
-    transition -> dual label, or 0.  Sectors i >= n reverse the word, so
-    each transition is looked up reversed and the labels come out reversed."""
+    """derive after normalize from sector i (D_0 for i = 0) by transition
+    code: dual label, 0, or None for no arrow.  Sectors i >= n reverse the
+    word, so each arrow is coded reversed and the labels come out reversed."""
     d0 = build_D0(m, n)
     inv = {y: x for x, y in sector_permutation(m, n, i % n).items()}
-    return {(inv[b], inv[a]) if i >= n else (inv[a], inv[b]):
-            d0.arrow_labels.get((a, b), 0) for a, b in d0.arrows}
+    code, masks, _ = _sector_masks(m, n)
+    steps = [None] * len(masks)
+    for a, b in d0.arrows:
+        x, y = (inv[b], inv[a]) if i >= n else (inv[a], inv[b])
+        steps[code[x][y]] = d0.arrow_labels.get((a, b), 0)
+    return steps
 
 
 def derivative_sequence(m, n, word, k):
@@ -63,14 +73,15 @@ def derivative_sequence(m, n, word, k):
     mm, nn = m, n
     words, sectors, ambiguous = [cur], [], []
     for t in range(k + 1):
-        adm = admissible_in(mm, nn, cur)
+        codes, mask = _word_codes(mm, nn, cur)
+        adm = [s for s in range(2 * nn) if mask >> s & 1]
         ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
         sectors.append(i := min(adm, default=None))
         if t == k or len(cur) < 2:
             break
         if i is None:
             raise NotAdmissible(f"word admissible in no sector of M({mm},{nn})")
-        labels = filter(None, map(_sector_steps(mm, nn, i).get, zip(cur, cur[1:])))
+        labels = filter(None, map(_sector_steps(mm, nn, i).__getitem__, codes))
         cur = list(labels)[::-1] if i >= nn else list(labels)
         words.append(cur)
         mm, nn = nn, mm
@@ -200,10 +211,6 @@ def tr_operator_inverse(m, n, i, word):
 def fixed_point_form(word):
     """(n1, n2) if the word is a window of the periodic word n1 n2 n1 n2 ..."""
     word = list(word)
-    if len(word) < 2 or word[0] == word[1]:
+    if len(word) < 2 or word[0] == word[1] or word[2:] != word[:-2]:
         return None
-    n1, n2 = word[0], word[1]
-    for t, x in enumerate(word):
-        if x != (n1 if t % 2 == 0 else n2):
-            return None
-    return (n1, n2)
+    return (word[0], word[1])

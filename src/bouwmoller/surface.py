@@ -157,7 +157,7 @@ class Surface:
         return range(1, self.n * (self.m - 1) + 1)
 
     def row(self, label):
-        return (label - 1) // self.n + 1
+        return side_seats(self.m, self.n, label)[0][0] + 1
 
     def seats(self, label):
         return side_seats(self.m, self.n, label)

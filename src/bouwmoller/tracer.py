@@ -86,30 +86,34 @@ def sector_of(direction, n, tol=1e-12):
     return int(math.floor(q)) % (2 * n), False
 
 
-def _exit_tables(surf, d):
-    """Exit table of each polygon along d, and the exit rows by label.
-
-    The flow keeps h(p) = d x p and a gluing (sx, sy) shifts h by
-    d x (sx, sy), so from side to side it is an interval exchange on h
-    (Keane 1975, Veech 1982).  The exit edges, sorted by h(a) in hs, tile
-    the polygon's h-range.  A row is (h(a), h(b), |e|/den, label, polygon
-    entered, shift of h, (k, i, ax, ay, ex, ey, bx, by, den, sx, sy)).
-    A polygon's table is (guards, steps, hs, rows): steps[bisect_right(
-    guards, h)] is a row's (label, polygon entered, shift) if h lies at
-    least 2 EPS_GEO along its edge from both vertices, rounded inwards, and
-    None elsewhere; guards is sorted, as a row's h(b) is the next's h(a).
-    """
+def _exit_rows(surf, d):
+    """Exit rows of each polygon along d, in edge order, and by label.  The
+    flow keeps h(p) = d x p and a gluing (sx, sy) shifts h by d x (sx, sy),
+    so from side to side it is an interval exchange on h (Keane 1975, Veech
+    1982).  A row is (h(a), h(b), |e|/den, label, polygon entered, shift of
+    h, (k, i, ax, ay, ex, ey, bx, by, den, sx, sy))."""
     dx, dy = d
-    tables = []
+    polygons, by_label = [[] for _ in surf.edge_table], {}
     for k, (edges, glue) in enumerate(zip(surf.edge_table, surf.glue_table)):
-        rows = []
         for i, ax, ay, ex, ey, bx, by in edges:
             if (den := dx * ey - dy * ex) > EXIT_TOL:
                 label, k2, _, sx, sy = glue[i]
-                rows.append((dx * ay - dy * ax, dx * by - dy * bx,
-                             math.hypot(ex, ey) / den, label, k2,
-                             dx * sy - dy * sx,
-                             (k, i, ax, ay, ex, ey, bx, by, den, sx, sy)))
+                by_label[label] = row = (
+                    dx * ay - dy * ax, dx * by - dy * bx,
+                    math.hypot(ex, ey) / den, label, k2, dx * sy - dy * sx,
+                    (k, i, ax, ay, ex, ey, bx, by, den, sx, sy))
+                polygons[k].append(row)
+    return polygons, by_label
+
+
+def _exit_tables(surf, d):
+    """Per polygon (guards, steps, hs, rows), and the rows by label.  rows,
+    the polygon's _exit_rows sorted by h(a) in hs, tile its h-range, and
+    steps[bisect_right(guards, h)] is a row's (label, polygon entered, shift)
+    if h is 2 EPS_GEO or more along its edge from both ends, else None."""
+    polygons, by_label = _exit_rows(surf, d)
+    tables = []
+    for rows in polygons:
         rows.sort(key=lambda row: row[0])
         guards, steps = [], [None]
         for ha, hb, scale, label, k2, shift, _ in rows:
@@ -118,7 +122,7 @@ def _exit_tables(surf, d):
             guards += lo, max(lo, math.nextafter(hb - margin, -math.inf))
             steps += (label, k2, shift), None
         tables.append((guards, steps, [row[0] for row in rows], rows))
-    return tables, {row[3]: row for *_, rows in tables for row in rows}
+    return tables, by_label
 
 
 def _point(row, h):
@@ -173,13 +177,13 @@ def _cylinder(surf, word, direction):
 
     No label occurs twice in one polygon, so the points of the side word[0]
     whose trajectory crosses word in order form one interval of the h of
-    _exit_tables, clipped in each polygon to the h-range of the letter's
+    _exit_rows, clipped in each polygon to the h-range of the letter's
     exit row there.  Returns None when it is empty, so that no trajectory
     has this cutting word; otherwise (start, width), the start behind the
     interval's midpoint and its width as a fraction of the last side.
     """
     dx, dy = d = (math.cos(direction), math.sin(direction))
-    _, rows = _exit_tables(surf, d)
+    _, rows = _exit_rows(surf, d)
     if word[0] not in rows:
         return None
     ha0, hb0, *_, (k0, _, ax0, ay0, ex0, ey0, *_) = rows[word[0]]
@@ -206,7 +210,7 @@ def start_through(surf, label, direction):
     d = (math.cos(direction), math.sin(direction))
     if label not in surf.labels:
         raise KeyError(label)
-    row = _exit_tables(surf, d)[1].get(label)
+    row = _exit_rows(surf, d)[1].get(label)
     if row is None:
         raise VertexHit(f"direction {direction} is parallel to side {label}")
     k, _, ax, ay, _, _, bx, by, *_ = row[6]

@@ -3,12 +3,13 @@
 import hashlib
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _adj, _apply,
-                              _branch_matrix, _f_step, _mul,
+                              _branch_matrix, _mul, _orbit,
                               direction_from_itinerary,
                               farey_F, farey_FF, ff_branches, gamma, itinerary,
                               reflection, subsectors)
@@ -166,8 +167,8 @@ def test_recognition_is_bit_exact():
 
 
 def test_farey_steps_are_bit_exact():
-    # itinerary(..., 25), the recovered direction and 60 chained steps of
-    # _f_step, to the last bit, for seeded directions on every surface with
+    # itinerary(..., 25), the recovered direction and the first 60 steps of
+    # _orbit, to the last bit, for seeded directions on every surface with
     # 3 <= m, n <= 7
     digest = hashlib.sha256()
     rng = random.Random(3301)
@@ -183,11 +184,9 @@ def test_farey_steps_are_bit_exact():
                     out = type(exc).__name__
                 digest.update(repr(out).encode())
                 theta = rng.uniform(0, math.pi / n)
-                v, mm, nn = (math.cos(theta), math.sin(theta)), m, n
-                for _ in range(60):
-                    a, v, bad = _f_step(mm, nn, v, 1e-12)
-                    digest.update(repr((a, v, bad)).encode())
-                    mm, nn = nn, mm
+                v = (math.cos(theta), math.sin(theta))
+                for step in islice(_orbit(m, n, v, 1e-12), 60):
+                    digest.update(repr(step).encode())
     assert digest.hexdigest() == (
         "0eccecf81bb3161487f44e8caab2a4c3985ba35a4d6cc33ebadc2b7a16e18daf")
 

@@ -9,8 +9,8 @@ import pytest
 from bouwmoller import renorm
 from bouwmoller.cli import (GOLDEN_PSUB, GOLDEN_SIGMA11_43, _contains,
                             _random_t0_word)
-from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
-                                 sector_permutation)
+from bouwmoller.diagrams import (NotAdmissible, NotChained, _word_codes,
+                                 admissible_in, sector_permutation)
 from bouwmoller.renorm import (derivative_sequence, derive, fixed_point_form,
                                generate, normalize, pseudo_substitution,
                                substitution, tr_operator, tr_operator_inverse)
@@ -251,7 +251,8 @@ def test_generate_is_unchanged():
 
 
 def test_sector_steps_derive_the_normalized_word():
-    # one lookup per transition of a sector-i word is derive(normalize(word))
+    # one lookup per transition code of a sector-i word is
+    # derive(normalize(word))
     rng = random.Random(6007)
     for m in range(2, 10):
         for n in range(3, 10):
@@ -262,9 +263,41 @@ def test_sector_steps_derive_the_normalized_word():
                 for _ in range(4):
                     u = _random_t0_word(m, n, rng, rng.randrange(2, 40))
                     word = [inv[x] for x in (u[::-1] if i >= n else u)]
-                    got = [x for x in map(steps.get, zip(word, word[1:])) if x]
+                    codes, _ = _word_codes(m, n, word)
+                    got = [x for x in map(steps.__getitem__, codes) if x]
                     if i >= n:
                         got.reverse()
                     assert got == derive(m, n, u)
                     if normalize(m, n, word)[0] == i:
                         assert got == derive(m, n, normalize(m, n, word)[1])
+
+
+def test_code_table_edges_are_unchanged():
+    # admissible_in, derive (open and cyclic) and derivative_sequence, as
+    # the result or the exception's class and message, to the last bit, on
+    # seeded words of every normalizing sector with a letter that is no
+    # side (0, -1 or n(m-1)+1) put first, in the middle or last, and on
+    # one-letter and empty words, for 3 <= m, n <= 7
+    digest = hashlib.sha256()
+    rng = random.Random(1717)
+    for m in range(3, 8):
+        for n in range(3, 8):
+            outside = (0, -1, n * (m - 1) + 1)
+            words = [[], [1], [0], [-1], [n * (m - 1) + 1]]
+            for _ in range(6):
+                i = rng.choice(_normalizing_sectors(m, n))
+                inv = {v: k for k, v in sector_permutation(m, n, i % n).items()}
+                u = _random_t0_word(m, n, rng, rng.randrange(2, 30))
+                word = [inv[x] for x in (u[::-1] if i >= n else u)]
+                words.append(word)
+                for x in outside:
+                    for at in (0, len(word) // 2, len(word) - 1):
+                        words.append(word[:at] + [x] + word[at + 1:])
+            for word in words:
+                for out in (_outcome(admissible_in, m, n, word),
+                            _outcome(derive, m, n, word),
+                            _outcome(derive, m, n, word, True),
+                            _outcome(derivative_sequence, m, n, word, 3)):
+                    digest.update(repr(out).encode())
+    assert digest.hexdigest() == (
+        "a5c8a38f79ebd45598be5e5a6ed07eabebcfb169d8c3607a482092d9e325089d")

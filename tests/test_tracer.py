@@ -431,6 +431,13 @@ def test_periodic_pair_requires_adjacency():
         realize_periodic(4, 3, 1, 5)
 
 
+def test_periodic_pair_rejects_labels_outside_the_surface():
+    # labels outside 1..9 of M(4,3) are no sides, not a pair in one row
+    for n1, n2 in ((10, 11), (0, -1)):
+        with pytest.raises(KeyError):
+            realize_periodic(4, 3, n1, n2)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(min_value=0.01, max_value=math.pi - 0.01),
        st.integers(min_value=1, max_value=9))
