@@ -14,6 +14,7 @@ from bouwmoller.cli import (GOLDEN_D0_LABELS, GOLDEN_GRIDS, GOLDEN_PERMS,
 from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
                                  arrow_alphabet, build_D0, build_T0,
                                  build_Ti, sector_permutation, t0_grid)
+from bouwmoller.hooper import build_hooper
 from bouwmoller.surface import Surface, build_surface
 from bouwmoller.tracer import VertexHit, sector_of, start_through, trace
 
@@ -329,3 +330,25 @@ def test_surfaces_and_sector_permutations_are_unchanged():
                 digest.update(repr(sorted(perm.items())).encode())
     assert digest.hexdigest() == (
         "7807f011aeb8e9e202b7208e454497a4cbd62f04fea569d3ceef484d4e43302d")
+
+
+def test_diagrams_hooper_labels_and_arrow_names_are_unchanged():
+    # pins T_i in every sector (or its error), D_0, the Hooper diagram and
+    # the arrow names of 56 surfaces, in JSON and DOT
+    digest = hashlib.sha256()
+    for m in range(2, 10):
+        for n in range(3, 10):
+            for i in range(n):
+                try:
+                    d = build_Ti(m, n, i)
+                except ValueError as exc:
+                    digest.update(str(exc).encode())
+                    continue
+                digest.update((d.to_json() + d.to_dot()).encode())
+            d0 = build_D0(m, n)
+            for text in (d0.to_json(), d0.to_json(indent=2), d0.to_dot(),
+                         build_hooper(m, n).to_dot(),
+                         repr(list(arrow_alphabet(m, n).arrow_of_name.items()))):
+                digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "2e4956d1476da8fa875ab7bf491ca849aeebf355a0a86547074c29d030effb49")
