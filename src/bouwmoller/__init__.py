@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .surface import NonPositiveShape, Polygon, Surface, build_surface
-from .hooper import (HooperDiagram, OrthogonalPresentation, build_hooper,
-                     heights, moduli, widths)
+from .hooper import HooperDiagram, build_hooper, heights, moduli, widths
 from .diagrams import (ArrowAlphabet, DerivationDiagram, NotAdmissible,
                        NotChained, TransitionDiagram, admissible_in,
                        arrow_alphabet, build_D0, build_T0, build_Ti,
@@ -22,13 +21,13 @@ __all__ = [
     "ArrowAlphabet", "BoundaryOrbit", "Crossing", "CuttingWord",
     "DerivationDiagram", "DomainError", "HooperDiagram", "Itinerary",
     "NoConvergence", "NonPositiveShape", "NotAdmissible", "NotChained",
-    "NotCoAdjacent", "OrthogonalPresentation", "Polygon", "Surface",
-    "TransitionDiagram", "VertexHit", "admissible_in", "arrow_alphabet",
-    "build_D0", "build_T0", "build_Ti", "build_hooper", "build_surface",
-    "derivative_sequence", "derive", "direction_from_itinerary", "farey_F",
-    "farey_FF", "ff_branches", "fixed_point_form", "gamma", "generate",
-    "generation_diagram", "heights", "itinerary", "moduli", "normalize",
-    "pseudo_substitution", "realize_periodic", "reflection", "sector_of",
-    "sector_permutation", "start_through", "subsectors", "substitution",
-    "t0_grid", "tr_operator", "tr_operator_inverse", "trace", "widths",
+    "NotCoAdjacent", "Polygon", "Surface", "TransitionDiagram", "VertexHit",
+    "admissible_in", "arrow_alphabet", "build_D0", "build_T0", "build_Ti",
+    "build_hooper", "build_surface", "derivative_sequence", "derive",
+    "direction_from_itinerary", "farey_F", "farey_FF", "ff_branches",
+    "fixed_point_form", "gamma", "generate", "generation_diagram", "heights",
+    "itinerary", "moduli", "normalize", "pseudo_substitution",
+    "realize_periodic", "reflection", "sector_of", "sector_permutation",
+    "start_through", "subsectors", "substitution", "t0_grid", "tr_operator",
+    "tr_operator_inverse", "trace", "widths",
 ]

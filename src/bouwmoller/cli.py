@@ -772,7 +772,7 @@ def cmd_verify(args):
         if args.m is not None or args.n is not None:
             raise SystemExit2("verify --all-small takes no -m or -n")
         surfaces = list(SMALL_SET)
-    elif args.m and args.n:
+    elif args.m is not None and args.n is not None:
         surfaces = [(args.m, args.n)]
     else:
         raise SystemExit2("verify needs -m/-n or --all-small")

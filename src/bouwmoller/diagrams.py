@@ -44,15 +44,13 @@ class TransitionDiagram:
                                 for a, b in arrow_alphabet(m, n).name_of_arrow)
         self.arrow_labels = {}
 
-    def admits(self, word):
-        word = list(word)
-        return all((a, b) in self.arrows for a, b in zip(word, word[1:]))
-
-    def to_json(self, indent=None):
-        data = {"m": self.m, "n": self.n, "sector": self.sector,
+    def _data(self):
+        return {"m": self.m, "n": self.n, "sector": self.sector,
                 "grid": [list(r) for r in self.grid],
                 "arrows": sorted(list(a) for a in self.arrows)}
-        return json.dumps(data, sort_keys=True, indent=indent)
+
+    def to_json(self, indent=None):
+        return json.dumps(self._data(), sort_keys=True, indent=indent)
 
     def to_dot(self):
         out = [f"digraph {self.dot_name} {{"]
@@ -75,10 +73,10 @@ class DerivationDiagram(TransitionDiagram):
         super().__init__(m, n, 0, grid)
         self.arrow_labels = dict(arrow_labels)
 
-    def to_json(self, indent=None):
-        data = json.loads(super().to_json())
+    def _data(self):
+        data = super()._data()
         data["arrow_labels"] = sorted([a, b, l] for (a, b), l in self.arrow_labels.items())
-        return json.dumps(data, sort_keys=True, indent=indent)
+        return data
 
 
 def build_T0(m, n):
@@ -95,23 +93,18 @@ def build_Ti(m, n, i):
 
 
 def build_D0(m, n):
-    """Derivation diagram: T_0 with horizontal arrows labeled by dual sides."""
-    grid = t0_grid(m, n)
+    """Derivation diagram: T_0 with horizontal arrows labeled by dual sides.
+
+    Between columns c-1 and c, row r's two arrows, left then right (right
+    then left when c is even), take sides r and r+1 of the dual grid's row c.
+    """
+    grid, dual = t0_grid(m, n), t0_grid(n, m)
     labels = {}
     for c in range(1, n):
-        base = (c - 1) * m
-        left = {r: (grid[r - 1][c], grid[r - 1][c - 1]) for r in range(1, m)}
-        right = {r: (grid[r - 1][c - 1], grid[r - 1][c]) for r in range(1, m)}
-        if c % 2 == 1:
-            labels[left[1]] = base + 1
-            for r in range(1, m - 1):
-                labels[right[r]] = labels[left[r + 1]] = base + r + 1
-            labels[right[m - 1]] = base + m
-        else:
-            labels[left[m - 1]] = base + 1
-            for r in range(m - 1, 1, -1):
-                labels[right[r]] = labels[left[r - 1]] = base + (m - r + 1)
-            labels[right[1]] = base + m
+        for r, row in enumerate(grid):
+            left, right = (row[c], row[c - 1]), (row[c - 1], row[c])
+            first, second = (left, right) if c % 2 == 1 else (right, left)
+            labels[first], labels[second] = dual[c - 1][r], dual[c - 1][r + 1]
     return DerivationDiagram(m, n, grid, labels)
 
 
@@ -218,29 +211,15 @@ class ArrowAlphabet:
         self.m = m
         self.n = n
         grid = t0_grid(m, n)
+        # the display columns flow down and up in turn
+        columns = [col if c % 2 == 0 else col[::-1]
+                   for c, col in enumerate(zip(*grid))]
+        runs = {"r": grid, "l": [row[::-1] for row in grid], "v": columns}
         self.arrow_of_name = {}
-        k = 1
-        for r in range(m - 1):
-            for c in range(n - 1):
-                self.arrow_of_name[f"r{k}"] = (grid[r][c], grid[r][c + 1])
-                k += 1
-        k = 1
-        for r in range(m - 1):
-            for c in range(n - 1, 0, -1):
-                self.arrow_of_name[f"l{k}"] = (grid[r][c], grid[r][c - 1])
-                k += 1
-        k = 1
-        for c in range(n):
-            if c % 2 == 0:
-                rows = range(m - 2)
-            else:
-                rows = range(m - 3, -1, -1)
-            for r in rows:
-                if c % 2 == 0:
-                    self.arrow_of_name[f"v{k}"] = (grid[r][c], grid[r + 1][c])
-                else:
-                    self.arrow_of_name[f"v{k}"] = (grid[r + 1][c], grid[r][c])
-                k += 1
+        for kind, paths in runs.items():
+            steps = [step for path in paths for step in zip(path, path[1:])]
+            self.arrow_of_name.update(
+                (f"{kind}{k}", step) for k, step in enumerate(steps, 1))
         self.name_of_arrow = {a: s for s, a in self.arrow_of_name.items()}
         if len(self.name_of_arrow) != len(self.arrow_of_name):
             raise RuntimeError(f"two arrow names share an arrow in M({m},{n})")

@@ -157,11 +157,12 @@ def generate(m, n, i, word):
     steps = _generation_steps(m, n, i) if 1 <= i < m else {}
     rows = list(map(steps.get, zip(word, word[1:])))
     if None in rows:
-        perm = sector_permutation(n, m, i)
+        sides = sector_permutation(n, m, 0)
         for x in word:
-            if x not in perm:
+            if x not in sides:
                 raise NotAdmissible(f"{x} is not a side of M({n},{m})")
-        generation_diagram(n, m, i)
+        generation_diagram(n, m, i)  # raises for a sector out of 1..m-1
+        perm = sector_permutation(n, m, i)
         a, b = word[rows.index(None)], word[rows.index(None) + 1]
         raise NotAdmissible(f"transition ({perm[a]}, {perm[b]}) "
                             f"not in T_{i} of M({n},{m})")

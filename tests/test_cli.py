@@ -127,6 +127,14 @@ def test_trace_report_schema(tmp_path):
     (("farey", "-m", "4", "-n", "3", "--theta", "inf*pi/3"), "is not finite"),
     (("generate", "-m", "4", "-n", "3", "-i", "1", "--word", "1,9"),
      "9 is not a side of M(3,4)"),
+    (("generate", "-m", "4", "-n", "3", "-i", "8", "--word", "1,2"),
+     "sector 8 out of range 1..3"),
+    (("generate", "-m", "4", "-n", "3", "-i", "-1", "--word", "1,2"),
+     "sector -1 out of range 1..3"),
+    (("generate", "-m", "4", "-n", "3", "-i", "0", "--word", "1,2"),
+     "sector 0 out of range 1..3"),
+    (("generate", "-m", "4", "-n", "3", "-i", "8", "--word", "1,99"),
+     "99 is not a side of M(3,4)"),
     (("verify", "-m", "4", "-n", "3", "--trials", "0"),
      "trials must be at least 1"),
     (("verify", "-m", "4", "-n", "3", "--trials", "-1"),
@@ -139,6 +147,8 @@ def test_trace_report_schema(tmp_path):
      "--itinerary must be integers b0,a1,b1[,a2,b2...]"),
     (("verify", "-m", "4", "-n", "4"),
      "verify does not support m and n both even, got (4, 4)"),
+    (("verify", "-m", "0", "-n", "3"),
+     "renormalization needs m, n >= 3, got (0, 3)"),
     (("recognize", "-m", "4", "-n", "3", "--word", "1,6,7,8", "--depth", "-3"),
      "--depth must be at least 1, got -3"),
     (("trace", "-m", "4", "-n", "3", "--theta", "0.35", "--svg"),
@@ -168,8 +178,11 @@ def test_trace_report_schema(tmp_path):
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
+        "generate-sector-above", "generate-sector-negative",
+        "generate-sector-zero", "generate-side-before-sector",
         "verify-zero-trials", "verify-negative-trials", "start-without-y",
         "start-not-finite", "itinerary-not-integers", "verify-both-even",
+        "verify-zero-m",
         "recognize-negative-depth", "trace-svg-without-out", "farey-theta-out",
         "farey-theta-svg", "farey-depth-without-theta", "subst-word-out",
         "diagram-hooper-json", "verify-all-small-and-m",

@@ -47,6 +47,12 @@ def test_the_geometry_layers_import_no_combinatorics():
     assert _package_imports("tracer") <= {".surface"}
 
 
+def test_hooper_reads_only_the_diagrams():
+    # every Hooper edge label is a slot of a T_0 grid, so the Hooper
+    # diagram reads t0_grid and nothing else of the package
+    assert _package_imports("hooper") <= {".diagrams"}
+
+
 def test_the_cli_imports_without_dataclasses():
     # every CLI start pays its imports; dataclasses would pull in inspect,
     # ast, dis and tokenize.  pytest loads both, so a fresh interpreter

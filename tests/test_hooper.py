@@ -1,4 +1,6 @@
-"""Hooper diagrams, cylinder data, and the orthogonal presentation."""
+"""Hooper diagrams, cylinder data, and the orthogonal presentation, which
+traces straight lines across the diagram's basic rectangles as an oracle
+for derivation."""
 
 import math
 import random
@@ -6,9 +8,118 @@ import random
 import pytest
 
 from bouwmoller.diagrams import admissible_in, build_D0
-from bouwmoller.hooper import (OrthogonalPresentation, build_hooper, heights,
-                               is_white, moduli, widths)
+from bouwmoller.hooper import (HooperDiagram, build_hooper, heights, is_white,
+                               moduli, widths)
 from bouwmoller.renorm import derive
+
+
+class MalformedDiagram(Exception):
+    """Structural inconsistency in a Hooper diagram traversal."""
+
+
+class CylinderWalk(HooperDiagram):
+    """The Hooper diagram with the orbit permutations of its cylinders."""
+
+    def white_end(self, e):
+        a, b = self.endpoints(e)
+        return a if is_white(a) else b
+
+    def black_end(self, e):
+        a, b = self.endpoints(e)
+        return b if is_white(a) else a
+
+    def star(self, node):
+        """Incident edges in the cyclic order down, right, up, left."""
+        i, j = node
+        cand = [("V", i + 1, j), ("H", i, j + 1), ("V", i, j), ("H", i, j)]
+
+        def exists(e):
+            kind, a, b = e
+            if kind == "H":
+                return 0 <= a <= self.m and 1 <= b <= self.n
+            return 1 <= a <= self.m and 0 <= b <= self.n
+
+        return [e for e in cand if exists(e)]
+
+    def _step(self, e, node, forward):
+        ring = self.star(node)
+        k = ring.index(e)
+        return ring[(k + (1 if forward else -1)) % len(ring)]
+
+    def east(self, e):
+        """Next edge east of e within its horizontal cylinder."""
+        w = self.white_end(e)
+        return self._step(e, w, forward=w[0] % 2 == 1)
+
+    def north(self, e):
+        """Next edge north of e within its transverse cylinder."""
+        b = self.black_end(e)
+        return self._step(e, b, forward=b[1] % 2 == 1)
+
+
+class OrthogonalPresentation:
+    """Straight-line tracing across the basic rectangles.
+
+    A state is (edge, x, y) with (x, y) in the box rect[edge].  Positive-slope
+    motion exits east into east(edge) or north into north(edge); degenerate
+    boxes are crossed instantaneously.  Each traversal of a box crosses its
+    side diagonal once; a traversal of a V box also crosses the dual side
+    diagonal when the corner-to-corner test changes sign.
+    The dual labels recorded between the first and last side records are
+    the derivative of the side word, so this presentation checks
+    `renorm.derive` without the polygon tracer or `diagrams.build_D0`.
+    """
+
+    def __init__(self, m, n):
+        self.m = m
+        self.n = n
+        self.g = CylinderWalk(m, n)
+        w = widths(m, n)
+        self.rect = {e: (w[self.g.black_end(e)], w[self.g.white_end(e)])
+                     for e in self.g.edges() if not self.g.is_completely_degenerate(e)}
+        self.east_north = {e: (self.g.east(e), self.g.north(e)) for e in self.rect}
+
+    def trace(self, edge, x, y, slope, steps):
+        """Crossing records ('side'|'dual', label) for `steps` rectangles."""
+        out = []
+        for _ in range(steps):
+            w, h = self.rect[edge]
+            if w == 0:
+                exit_east, x1, y1 = True, 0.0, y
+            elif h == 0:
+                exit_east, x1, y1 = False, x, 0.0
+            else:
+                y_east = y + slope * (w - x)
+                if y_east <= h:
+                    exit_east, x1, y1 = True, w, y_east
+                else:
+                    exit_east, x1, y1 = False, x + (h - y) / slope, h
+            self._record(edge, x, y, x1, y1, out)
+            east, north = self.east_north[edge]
+            if exit_east:
+                edge, x, y = east, 0.0, y1
+            else:
+                edge, x, y = north, x1, 0.0
+            if edge not in self.rect:
+                raise MalformedDiagram(f"trace left the rectangles at {edge}")
+        return out
+
+    def _record(self, edge, x0, y0, x1, y1, out):
+        lab = self.g.label(edge)
+        if lab is None:
+            return
+        if edge[0] == "H":
+            out.append(("side", lab))
+            return
+        w, h = self.rect[edge]
+        if w == 0 or h == 0:
+            out.append(("dual", lab))
+            return
+        g0 = y0 * w - x0 * h
+        g1 = y1 * w - x1 * h
+        if g0 >= 0 >= g1 or g0 <= 0 <= g1:
+            out.append(("dual", lab))
+
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 ORACLE_SURFACES = SMALL + [(4, 4), (3, 6), (2, 5), (6, 4), (5, 7), (7, 3),
@@ -58,7 +169,7 @@ def test_moduli_constant_and_closed_form():
 
 
 def test_orbit_steps_stay_in_the_diagram():
-    g = build_hooper(4, 3)
+    g = CylinderWalk(4, 3)
     for e in g.edges():
         if g.is_completely_degenerate(e):
             continue
