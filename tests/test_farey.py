@@ -109,6 +109,12 @@ def test_itinerary_quarantines_boundaries():
         itinerary(4, 3, math.pi / 3, 4)
 
 
+def test_itinerary_rejects_directions_that_are_not_finite():
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"direction {theta}"):
+            itinerary(4, 3, theta, 5)
+
+
 def test_constant_itinerary_recovers_the_eigendirection():
     # iterating inverse branches contracts onto the branch matrix's
     # contracting eigenvector

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,80 @@ def test_vertex_decisions_near_side_directions_are_bit_exact():
                         digest.update(repr(out).encode())
     assert digest.hexdigest() == (
         "23ad1daed4159fdad5c817ac6be43f26d874fafc4d60ab19e444031198679971")
+
+
+@pytest.mark.parametrize("pin", [
+    test_trace_is_bit_exact, test_trace_points_are_bit_exact,
+    test_start_through_decisions_are_bit_exact,
+    test_vertex_decisions_near_side_directions_are_bit_exact],
+    ids=lambda pin: pin.__name__[5:])
+def test_pair_steps_keep_the_digests(monkeypatch, pin):
+    # the four pins above with two crossings per bisection in every trace,
+    # single steps near vertices; at the default PAIR_MIN only the
+    # 2000-crossing traces take pairs
+    monkeypatch.setattr(tracer, "PAIR_MIN", 0)
+    pin()
+
+
+def test_pair_threshold_and_odd_tail_keep_the_labels(monkeypatch):
+    # windows of PAIR_MIN - 1, PAIR_MIN and PAIR_MIN + 1 crossings against
+    # single steps only
+    rng = random.Random(1975)
+    cases = []
+    for m, n in ((2, 4), (4, 7), (7, 3)):
+        surf = build_surface(m, n)
+        for _ in range(2):
+            theta = rng.uniform(0, 2 * math.pi)
+            cases.append((surf, start_through(surf, rng.choice(surf.labels),
+                                              theta), theta))
+    windows = [tracer.PAIR_MIN + i for i in (-1, 0, 1)]
+    got = [trace(*case, w).labels for case in cases for w in windows]
+    monkeypatch.setattr(tracer, "PAIR_MIN", math.inf)
+    assert got == [trace(*case, w).labels for case in cases for w in windows]
+
+
+def _pair_endpoint_misses():
+    # both ends of every pair interval, single-stepped twice by the guard
+    # lists alone, against the pair: labels, polygon entered and h; fl(h + s)
+    # is monotone in h, so the ends decide the whole interval
+    rng = random.Random(1982)
+    misses = checked = 0
+    for m in range(2, 8):
+        for n in range(3, 7):
+            surf = build_surface(m, n)
+            thetas = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
+            thetas += [j * math.pi / (2 * n) + eps for j in range(4 * n)
+                       for eps in (1e-9, -1e-9)]
+            for theta in thetas:
+                tables, _ = tracer._exit_tables(
+                    surf, (math.cos(theta), math.sin(theta)))
+                for k, (guards, steps) in enumerate(
+                        tracer._pair_tables(tables)):
+                    for a, b, pair in zip(guards[::2], guards[1::2],
+                                          steps[1::2]):
+                        for h in (a, math.nextafter(b, -math.inf)):
+                            walked, k2, h2 = [], k, h
+                            for _ in range(2):
+                                guards1, steps1, _, _ = tables[k2]
+                                step = steps1[bisect_right(guards1, h2)]
+                                if step is None:
+                                    break
+                                label, k2, shift = step
+                                walked.append(label)
+                                h2 += shift
+                            checked += 1
+                            misses += (*walked, k2, h2) != (
+                                *pair[:3], h + pair[3] + pair[4])
+    return misses, checked
+
+
+def test_pair_intervals_are_sure_at_both_ends(monkeypatch):
+    misses, checked = _pair_endpoint_misses()
+    assert misses == 0 and checked > 38000
+    # negative control: without the shrink 3 745 of 38 694 ends miss a
+    # guard, with 1 ulp 347, with 2 ulps none
+    monkeypatch.setattr(tracer, "PAIR_ULPS", 0)
+    assert _pair_endpoint_misses()[0] > 1000
 
 
 def _vertex_threshold_misses():
@@ -322,6 +397,26 @@ def test_start_through_rejects_unknown_sides():
     for label in (0, 10, -1):
         with pytest.raises(KeyError):
             start_through(surf, label, 0.35)
+
+
+_SURF = build_surface(4, 3)
+_LAST = start_through(_SURF, 8, 0.35)  # a start in polygon 3, the last
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: trace(_SURF, _LAST, math.nan, 10), "direction nan"),
+    (lambda: trace(_SURF, _LAST, math.inf, 10), "direction inf"),
+    (lambda: start_through(_SURF, 1, math.nan), "direction nan"),
+    (lambda: start_through(_SURF, 1, -math.inf), "direction -inf"),
+    (lambda: sector_of(math.nan, 3), "direction nan"),
+    (lambda: _cylinder(_SURF, [1, 6], math.nan), "direction nan"),
+    (lambda: trace(_SURF, (4, _LAST[1]), 0.35, 10), "start polygon 4"),
+    (lambda: trace(_SURF, (-1, _LAST[1]), 0.35, 10), "start polygon -1"),
+], ids=["trace-nan", "trace-inf", "start-nan", "start-inf", "sector-nan",
+        "cylinder-nan", "polygon-m", "polygon-minus-1"])
+def test_bad_trace_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_crossings_ignore_later_edits_of_the_labels():
