@@ -13,13 +13,13 @@ EPS_GEO = 1e-9
 EXIT_TOL = 1e-12
 # How far behind its side, along the direction, a start point is placed.
 BACK = 1e-7
-# trace takes two crossings per bisection from PAIR_MIN on.  Against one per
-# bisection, with the 20-95 us pair tables, windows of 420, 1 000 and 2 000
-# crossings took 1.18, 0.92 and 0.81 times as long (2-core VM, Python 3.11.7).
-PAIR_MIN = 2000
-# g - s + u rounds by at most 3 ulp(max(|g|, |s|)), so with u = PAIR_ULPS ulps
-# fl(fl(g - s + u) + s) >= g.
-PAIR_ULPS = 4
+# trace takes eight crossings per bisection from BLOCK_MIN on.  Against one,
+# windows of 1 000, 2 000, 4 000 and 10 000 crossings took 1.48, 0.97, 0.65
+# and 0.45 times as long (nine surfaces, 2-vCPU VM, Python 3.11.7).
+BLOCK_MIN = 2000
+# _square shrinks pulled-back cuts by BLOCK_ULPS ulps of the largest guard; at
+# 1, 2 and 4 ulps its end check rejects 1 611, 29 and 0 pieces of the tests.
+BLOCK_ULPS = 8
 
 
 class VertexHit(Exception):
@@ -87,9 +87,11 @@ def sector_of(direction, n, tol=1e-12):
     """Sector index in 0..2n-1 for a direction angle, and a boundary flag.
 
     Directions within tol of a sector boundary are assigned the smaller of
-    the two adjacent indices.
+    the two adjacent indices.  Raises ValueError for n < 1.
     """
     _check_direction(direction)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     step = math.pi / n
     t = direction % (2 * math.pi)
     q = t / step
@@ -145,30 +147,44 @@ def _point(row, h):
     return ax + s * ex, ay + s * ey
 
 
-def _pair_tables(tables):
-    """Per polygon (guards, steps) of the squared exchange, read as in
-    _exit_tables; a step is (label, label, polygon entered, shift, shift).
-    A pair interval is a row's guard interval [lo, hi) met with a guard
-    interval [g0, g1) of the polygon entered, pulled back by the shift s and
-    shrunk by PAIR_ULPS ulps; fl(h + s) is monotone in h, so on it both
-    single steps are sure.  Rows and guards are sorted, and so are pairs."""
-    spans = [list(zip(guards[::2], guards[1::2], steps[1::2]))
-             for guards, steps, _, _ in tables]
-    pairs = []
+def _square(blocks):
+    """Per polygon (guards, steps) of twice as many crossings, read as in
+    _exit_tables, a step being (labels, polygon entered, shifts), and how
+    many pieces the end check rejected.  A block interval [lo, hi) meets the
+    intervals [g0, g1) of the polygon entered, pulled back by the sum of its
+    shifts and shrunk by BLOCK_ULPS ulps, in pieces [a, b).  fl(h + s) is
+    monotone in h, so the piece is sure if the forward sums a + s1 + s2 +
+    ... >= g0 and b + s1 + s2 + ... < g1; else single steps take it."""
+    spans = [list(zip(g[::2], g[1::2], steps[1::2])) for g, steps in blocks]
+    u = BLOCK_ULPS * math.ulp(max(max(map(abs, guards), default=0.0)
+                                  for guards, _ in blocks))
+    squared, rejected = [], 0
     for row_spans in spans:
-        pair_guards, pair_steps = [], [None]
-        for lo, hi, (label, k2, s) in row_spans:
-            guards2 = tables[k2][0]  # those [lo + s, hi + s) meets
-            for g0, g1, (label2, k3, s2) in spans[k2][
+        new_guards, new_steps = [], [None]
+        for lo, hi, (run, k2, shifts) in row_spans:
+            s = sum(shifts)
+            guards2 = blocks[k2][0]  # those [lo + s, hi + s) meets
+            for g0, g1, (run2, k3, shifts2) in spans[k2][
                     bisect_right(guards2, lo + s) // 2:
                     (bisect_left(guards2, hi + s) + 1) // 2]:
-                u = PAIR_ULPS * math.ulp(max(abs(g0), abs(g1), abs(s)))
-                a, b = max(lo, g0 - s + u), min(hi, g1 - s - u)
+                a = g0 - s + u
+                if a < lo:
+                    a = lo
+                b = g1 - s - u
+                if b > hi:
+                    b = hi
                 if a < b:
-                    pair_guards += a, b
-                    pair_steps += (label, label2, k3, s, s2), None
-        pairs.append((pair_guards, pair_steps))
-    return pairs
+                    fa, fb = a, b
+                    for shift in shifts:
+                        fa += shift
+                        fb += shift
+                    if g0 <= fa and fb < g1:
+                        new_guards += a, b
+                        new_steps += (run + run2, k3, shifts + shifts2), None
+                    else:
+                        rejected += 1
+        squared.append((new_guards, new_steps))
+    return squared, rejected
 
 
 def _walk(tables, k, h, count, labels):
@@ -195,19 +211,22 @@ def trace(surf, start, direction, max_crossings):
     """Cutting sequence of the trajectory from start in the given direction.
 
     start is a pair (polygon index, point).  Raises ValueError for a
-    direction that is not finite or a polygon index outside 0..m-1, and
-    VertexHit if the start lies more than EPS_GEO outside its polygon or
-    within rounding of a side nearly parallel to d (a ray parameter t <= 0
-    to its exit edge, solved in 2D), or if the trajectory passes within
-    EPS_GEO of a vertex; the caller may perturb the start and retry.  Each
-    crossing is one step of the interval exchange of _exit_tables, one
-    bisection of its guards; they pass no h that the exact test, run
-    within 2 EPS_GEO of a vertex, rejects.  From PAIR_MIN crossings on, one
-    bisection of _pair_tables takes two sure steps, adding their shifts one
-    by one, so labels, VertexHit decisions and every h stay those of _walk.
+    direction that is not finite, a polygon index outside 0..m-1 or a
+    max_crossings that is no integer >= 0, and VertexHit if the start lies
+    more than EPS_GEO outside its polygon or within rounding of a side
+    nearly parallel to d (a ray parameter t <= 0 to its exit edge, solved
+    in 2D), or if the trajectory passes within EPS_GEO of a vertex; the
+    caller may perturb the start and retry.  Each crossing is one step of
+    the interval exchange of _exit_tables, one bisection of its guards;
+    they pass no h that the exact test, run within 2 EPS_GEO of a vertex,
+    rejects.  From BLOCK_MIN crossings on, one bisection of _square's
+    blocks takes eight sure steps, adding their shifts one by one, so
+    labels, VertexHit decisions and every h stay those of _walk.
     """
     k, (px, py) = start
     _check_direction(direction)
+    if not isinstance(max_crossings, int) or max_crossings < 0:
+        raise ValueError(f"max_crossings {max_crossings!r} is no int >= 0")
     if not 0 <= k < len(surf.polygons):
         raise ValueError(f"start polygon {k} is not in "
                          f"0..{len(surf.polygons) - 1}")
@@ -222,20 +241,21 @@ def trace(surf, start, direction, max_crossings):
     if ((ax - px) * ey - (ay - py) * ex) / den <= 0:
         raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
     labels = []
-    if max_crossings >= PAIR_MIN:
-        pairs = _pair_tables(tables)
-        for _ in range(max_crossings // 2):
-            guards, steps = pairs[k]
-            pair = steps[bisect_right(guards, h)]
-            if pair is None:
-                k, h = _walk(tables, k, h, 2, labels)
+    if max_crossings >= BLOCK_MIN:
+        blocks = [(guards, [s and ((s[0],), s[1], (s[2],)) for s in steps])
+                  for guards, steps, _, _ in tables]
+        for _ in range(3):
+            blocks, _ = _square(blocks)
+        for _ in range(max_crossings // 8):
+            guards, steps = blocks[k]
+            step = steps[bisect_right(guards, h)]
+            if step is None:
+                k, h = _walk(tables, k, h, 8, labels)
             else:
-                label, label2, k, shift, shift2 = pair
-                labels.append(label)
-                labels.append(label2)
-                h += shift
-                h += shift2
-        max_crossings %= 2
+                run, k, (s1, s2, s3, s4, s5, s6, s7, s8) = step
+                labels += run
+                h = h + s1 + s2 + s3 + s4 + s5 + s6 + s7 + s8
+        max_crossings %= 8
     _walk(tables, k, h, max_crossings, labels)
     return CuttingWord(labels, by_label, h0, start[1], d)
 

@@ -139,17 +139,17 @@ def test_vertex_decisions_near_side_directions_are_bit_exact():
     test_start_through_decisions_are_bit_exact,
     test_vertex_decisions_near_side_directions_are_bit_exact],
     ids=lambda pin: pin.__name__[5:])
-def test_pair_steps_keep_the_digests(monkeypatch, pin):
-    # the four pins above with two crossings per bisection in every trace,
-    # single steps near vertices; at the default PAIR_MIN only the
-    # 2000-crossing traces take pairs
-    monkeypatch.setattr(tracer, "PAIR_MIN", 0)
+def test_block_steps_keep_the_digests(monkeypatch, pin):
+    # the four pins above with eight crossings per bisection in every trace,
+    # single steps near vertices and in the tail; at the default BLOCK_MIN
+    # only the 2000-crossing traces take blocks
+    monkeypatch.setattr(tracer, "BLOCK_MIN", 0)
     pin()
 
 
-def test_pair_threshold_and_odd_tail_keep_the_labels(monkeypatch):
-    # windows of PAIR_MIN - 1, PAIR_MIN and PAIR_MIN + 1 crossings against
-    # single steps only
+def test_block_threshold_and_tails_keep_the_labels(monkeypatch):
+    # windows of BLOCK_MIN - 1 to BLOCK_MIN + 8 crossings, below the
+    # threshold and at every tail 0..7, against single steps only
     rng = random.Random(1975)
     cases = []
     for m, n in ((2, 4), (4, 7), (7, 3)):
@@ -158,18 +158,45 @@ def test_pair_threshold_and_odd_tail_keep_the_labels(monkeypatch):
             theta = rng.uniform(0, 2 * math.pi)
             cases.append((surf, start_through(surf, rng.choice(surf.labels),
                                               theta), theta))
-    windows = [tracer.PAIR_MIN + i for i in (-1, 0, 1)]
+    windows = range(tracer.BLOCK_MIN - 1, tracer.BLOCK_MIN + 9)
     got = [trace(*case, w).labels for case in cases for w in windows]
-    monkeypatch.setattr(tracer, "PAIR_MIN", math.inf)
+    monkeypatch.setattr(tracer, "BLOCK_MIN", math.inf)
     assert got == [trace(*case, w).labels for case in cases for w in windows]
 
 
-def _pair_endpoint_misses():
-    # both ends of every pair interval, single-stepped twice by the guard
-    # lists alone, against the pair: labels, polygon entered and h; fl(h + s)
-    # is monotone in h, so the ends decide the whole interval
+def test_block_steps_add_the_shifts_one_by_one(monkeypatch):
+    # the polygon and h that the block loop hands to _walk for the tail are
+    # those of as many single steps, to the last bit; labels alone rarely
+    # show an h that is off by an ulp
+    walk, tails = tracer._walk, []
+
+    def spy(tables, k, h, count, labels):
+        tails.append((k, h, count))
+        return walk(tables, k, h, count, labels)
+
+    monkeypatch.setattr(tracer, "_walk", spy)
+    monkeypatch.setattr(tracer, "BLOCK_MIN", 0)
+    rng = random.Random(1979)
+    for m, n in ((2, 4), (4, 7), (7, 3)):
+        surf = build_surface(m, n)
+        theta = rng.uniform(0, 2 * math.pi)
+        k0, (px, py) = start = start_through(surf, rng.choice(surf.labels),
+                                             theta)
+        dx, dy = d = math.cos(theta), math.sin(theta)
+        trace(surf, start, theta, 2005)
+        k, h, count = tails[-1]
+        tables, _ = tracer._exit_tables(surf, d)
+        assert count == 5
+        assert walk(tables, k0, dx * py - dy * px, 2000, []) == (k, h)
+
+
+def _block_endpoint_misses():
+    # both ends of every 8-crossing block interval, single-stepped eight
+    # times by the guard lists alone, against the block: labels, polygon
+    # entered and h; fl(h + s) is monotone in h, so the ends decide the
+    # whole interval.  Also how many pieces the end check of _square rejects
     rng = random.Random(1982)
-    misses = checked = 0
+    misses = checked = rejected = 0
     for m in range(2, 8):
         for n in range(3, 7):
             surf = build_surface(m, n)
@@ -179,13 +206,19 @@ def _pair_endpoint_misses():
             for theta in thetas:
                 tables, _ = tracer._exit_tables(
                     surf, (math.cos(theta), math.sin(theta)))
-                for k, (guards, steps) in enumerate(
-                        tracer._pair_tables(tables)):
-                    for a, b, pair in zip(guards[::2], guards[1::2],
-                                          steps[1::2]):
+                blocks = [(guards, [step and ((step[0],), step[1],
+                                              (step[2],)) for step in steps])
+                          for guards, steps, _, _ in tables]
+                for _ in range(3):
+                    blocks, count = tracer._square(blocks)
+                    rejected += count
+                for k, (guards, steps) in enumerate(blocks):
+                    misses += guards != sorted(guards)  # bisect needs it
+                    for a, b, (run, k3, shifts) in zip(
+                            guards[::2], guards[1::2], steps[1::2]):
                         for h in (a, math.nextafter(b, -math.inf)):
                             walked, k2, h2 = [], k, h
-                            for _ in range(2):
+                            for _ in range(8):
                                 guards1, steps1, _, _ = tables[k2]
                                 step = steps1[bisect_right(guards1, h2)]
                                 if step is None:
@@ -193,19 +226,23 @@ def _pair_endpoint_misses():
                                 label, k2, shift = step
                                 walked.append(label)
                                 h2 += shift
+                            want = h
+                            for shift in shifts:
+                                want += shift
                             checked += 1
-                            misses += (*walked, k2, h2) != (
-                                *pair[:3], h + pair[3] + pair[4])
-    return misses, checked
+                            misses += (walked, k2, h2) != (list(run), k3,
+                                                           want)
+    return misses, checked, rejected
 
 
-def test_pair_intervals_are_sure_at_both_ends(monkeypatch):
-    misses, checked = _pair_endpoint_misses()
-    assert misses == 0 and checked > 38000
-    # negative control: without the shrink 3 745 of 38 694 ends miss a
-    # guard, with 1 ulp 347, with 2 ulps none
-    monkeypatch.setattr(tracer, "PAIR_ULPS", 0)
-    assert _pair_endpoint_misses()[0] > 1000
+def test_block_intervals_are_sure_at_both_ends(monkeypatch):
+    misses, checked, rejected = _block_endpoint_misses()
+    assert misses == 0 and rejected == 0 and checked > 100000
+    # negative control: without the shrink the end check rejects 13 235
+    # pieces (1 and 2 ulps: 1 611 and 29), and what it keeps is still sure
+    monkeypatch.setattr(tracer, "BLOCK_ULPS", 0)
+    misses, _, rejected = _block_endpoint_misses()
+    assert misses == 0 and rejected > 1000
 
 
 def _vertex_threshold_misses():
@@ -412,11 +449,22 @@ _LAST = start_through(_SURF, 8, 0.35)  # a start in polygon 3, the last
     (lambda: _cylinder(_SURF, [1, 6], math.nan), "direction nan"),
     (lambda: trace(_SURF, (4, _LAST[1]), 0.35, 10), "start polygon 4"),
     (lambda: trace(_SURF, (-1, _LAST[1]), 0.35, 10), "start polygon -1"),
+    (lambda: trace(_SURF, _LAST, 0.35, -5), "max_crossings -5 "),
+    (lambda: trace(_SURF, _LAST, 0.35, 10.0), "max_crossings 10.0 "),
+    (lambda: trace(_SURF, _LAST, 0.35, "10"), "max_crossings '10' "),
+    (lambda: sector_of(0.35, 0), "n must be at least 1, got 0"),
+    (lambda: sector_of(0.35, -3), "n must be at least 1, got -3"),
 ], ids=["trace-nan", "trace-inf", "start-nan", "start-inf", "sector-nan",
-        "cylinder-nan", "polygon-m", "polygon-minus-1"])
+        "cylinder-nan", "polygon-m", "polygon-minus-1", "window-negative",
+        "window-float", "window-str", "sector-n-0", "sector-n-negative"])
 def test_bad_trace_input_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_window_of_zero_crossings_is_empty():
+    word = trace(_SURF, _LAST, 0.35, 0)
+    assert word.labels == [] and word.crossings == []
 
 
 def test_crossings_ignore_later_edits_of_the_labels():
