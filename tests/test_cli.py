@@ -12,6 +12,7 @@ from bouwmoller import build_surface, start_through, trace
 from bouwmoller.cli import (_canon, _dumps, _parse_angle, _parse_start,
                             _parse_word, main, run_verification)
 from bouwmoller.farey import itinerary
+from bouwmoller.tracer import BLOCK_MIN
 
 
 def run_cli(*args):
@@ -97,6 +98,77 @@ def test_surface_and_farey_exports(tmp_path):
     table = json.loads((tmp_path / "farey_m4n3.json").read_text())
     assert len(table["branches"]) == 6
     assert "<polyline" in (tmp_path / "farey_m4n3.svg").read_text()
+
+
+# one dual-admissible word per surface for generate: a walk in T_0 of M(n,m)
+_GENERATE_WORDS = {(4, 3): "1,2,3,6,7,6,7,2,3,6,7,6,7",
+                   (3, 4): "1,2,3,2,3,2,3,2,3",
+                   (3, 7): "1,2,3,2,3,2,3,2,3",
+                   (7, 3): "1,2,3,12,13,12,13,2,3,12,13"}
+
+
+def _cli_runs(m, n):
+    """The commands of the CLI output pin on M(m,n).  W stands for the word
+    the first run prints; its cyclic derive is a pinned usage error."""
+    s = ["-m", str(m), "-n", str(n)]
+    vertices = build_surface(m, n).polygons[0].vertices
+    x, y = (sum(c) / len(vertices) for c in zip(*vertices))
+    runs = [["trace", *s, "--theta", "0.3", "--crossings", "400"],
+            ["surface", *s, "--svg", "--out"],
+            ["diagram", *s, "--out"],
+            ["diagram", *s, "-i", "1", "--format", "dot", "--out"],
+            ["diagram", *s, "--derivation", "--out"],
+            ["diagram", *s, "--derivation", "--format", "dot", "--out"],
+            ["diagram", *s, "--hooper", "--out"],
+            ["trace", *s, "--theta", "0.3", "--crossings", "50", "--svg",
+             "--out"],
+            ["trace", *s, "--theta", "2*pi/5", "--through", "2",
+             "--crossings", "300", "--svg", "--out"],
+            ["trace", *s, "--theta", "0.3", "--start", f"0:{x!r},{y!r}",
+             "--crossings", str(BLOCK_MIN + 500), "--svg", "--out"]]
+    if min(m, n) >= 3:
+        runs += [["derive", *s, "--open", "--word", "W", "--out"],
+                 ["derive", *s, "--word", "W"],
+                 ["generate", *s, "-i", "1", "--word",
+                  _GENERATE_WORDS[m, n], "--out"],
+                 ["generate", *s, "-i", str(m - 1), "--word",
+                  _GENERATE_WORDS[m, n]],
+                 ["subst", *s, "-i", "1", "-j", "1", "--out"],
+                 ["subst", *s, "-i", "1", "--table"],
+                 ["subst", *s, "-i", "1", "-j", "1", "--word", "r1,l1,v1"],
+                 ["farey", *s, "--svg", "--out"],
+                 ["farey", *s, "--theta", "0.3", "--depth", "6"],
+                 ["farey", *s, "--theta", "pi/7"],
+                 ["recognize", *s, "--itinerary", ",".join(
+                     map(str, itinerary(m, n, 0.3, 25).flatten()))],
+                 ["recognize", *s, "--word", "W", "--tol", "0.05"],
+                 ["verify", *s, "--trials", "2", "--seed", "3", "--out"]]
+    return runs
+
+
+@pytest.mark.parametrize("m, n, digest", [
+    (4, 3, "ccc821d33602c65ca77b77c87410d900aaf5cd6fc19c2b72a60c3763287d9b05"),
+    (3, 4, "f5b870804cd3027d1b0f1f2d088d003ef6e17a78d8f44f082a266b4dd72d302d"),
+    (2, 5, "e87c0774cad7200648759d4ce249977b846e3259fe18eeb6401f8422b419fd95"),
+    (3, 7, "8a864ea7d8d00c3a3dc3aaa103830e2b8b44de95b3ac655c3ae55a099802073f"),
+    (7, 3, "b32467ae61d528bb25a1144ecee2de039ad78b211d3f6e7fe3186ef1469e51df"),
+])
+def test_cli_output_bytes_are_pinned(m, n, digest, tmp_path, capsys):
+    # stdout, stderr, exit code and every file written, for each command;
+    # the trace of BLOCK_MIN + 500 crossings takes the block path
+    sha = hashlib.sha256()
+    word = None
+    for k, args in enumerate(_cli_runs(m, n)):
+        args = [word if a == "W" else a for a in args]
+        out_dir = tmp_path / str(k)
+        code = main(args + [str(out_dir)] * (args[-1] == "--out"))
+        out, err = capsys.readouterr()
+        word = word or out.strip()
+        out = out.replace(str(tmp_path), "OUT")  # the paths written
+        sha.update(repr((args, code, out, err)).encode())
+        for path in sorted(out_dir.glob("*")):
+            sha.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert sha.hexdigest() == digest
 
 
 def test_trace_report_schema(tmp_path):
