@@ -23,7 +23,7 @@ from .hooper import build_hooper, moduli
 from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
                      normalize, pseudo_substitution, substitution, tr_operator,
                      tr_operator_inverse)
-from .surface import _num, build_surface
+from .surface import _dumps, build_surface
 from .tracer import (NotCoAdjacent, VertexHit, _cylinder, realize_periodic,
                      sector_of, start_through, trace)
 
@@ -106,22 +106,7 @@ GOLDEN_DERIVE_43 = ([1, 6, 7, 8, 7, 8, 5, 4, 5, 2], [4, 3, 4, 7, 6, 1])
 
 
 # ---------------------------------------------------------------------------
-# Canonical output helpers.
-
-def _canon(obj):
-    if isinstance(obj, float):
-        return _num(obj)
-    if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    return obj
-
-
-def _dumps(obj, indent=None):
-    return json.dumps(_canon(obj), sort_keys=True, indent=indent,
-                      ensure_ascii=False)
-
+# Output.
 
 def _emit(args, name, text):
     """Write text under the output directory, or print when none given."""
@@ -587,9 +572,11 @@ def cmd_trace(args):
     print(",".join(str(x) for x in word.labels))
     if args.out:
         data = {"m": args.m, "n": args.n, "direction": theta,
-                "start": {"polygon": start[0], "point": list(start[1])},
+                "start": {"polygon": start[0], "point": start[1]},
                 "word": list(word.labels),
-                "crossings": [c.as_dict() for c in word.crossings]}
+                "crossings": [{"label": c.label, "polygon": c.polygon,
+                               "point": c.point, "t": c.t}
+                              for c in word.crossings]}
         _emit(args, f"trace_m{args.m}n{args.n}.json", _dumps(data, indent=2))
         if args.svg:
             segments = [(c.entry, c.point) for c in word.crossings]

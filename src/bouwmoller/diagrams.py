@@ -1,10 +1,9 @@
 """Transition and derivation diagrams, sector permutations, admissibility."""
 
-import json
 from functools import lru_cache, reduce
 from operator import and_, getitem
 
-from .surface import side_seats
+from .surface import _dumps, side_seats
 
 
 class NotAdmissible(ValueError):
@@ -50,7 +49,7 @@ class TransitionDiagram:
                 "arrows": sorted(list(a) for a in self.arrows)}
 
     def to_json(self, indent=None):
-        return json.dumps(self._data(), sort_keys=True, indent=indent)
+        return _dumps(self._data(), indent)
 
     def to_dot(self):
         out = [f"digraph {self.dot_name} {{"]

@@ -166,21 +166,17 @@ class Surface:
         data = {
             "m": self.m,
             "n": self.n,
-            "polygons": [
-                {"a": _num(p.a), "b": _num(p.b),
-                 "vertices": [[_num(x), _num(y)] for x, y in p.vertices]}
-                for p in self.polygons
-            ],
+            "polygons": [{"a": p.a, "b": p.b, "vertices": p.vertices}
+                         for p in self.polygons],
             "sides": [],
         }
         for label in self.labels:
             (k, e), _ = seats = self.seats(label)
             data["sides"].append({
-                "label": label, "row": self.row(label),
-                "seats": [list(t) for t in seats],
-                "length": _num(self.polygons[k].edge_length(e)),
-                "direction": _num((e * math.pi / self.n) % math.pi)})
-        return json.dumps(data, sort_keys=True, indent=indent)
+                "label": label, "row": self.row(label), "seats": seats,
+                "length": self.polygons[k].edge_length(e),
+                "direction": (e * math.pi / self.n) % math.pi})
+        return _dumps(data, indent)
 
     def to_svg(self, segments=()):
         """SVG picture of the polygon chain, with optional overlay segments."""
@@ -213,9 +209,21 @@ class Surface:
         return "\n".join(out)
 
 
-def _num(x):
-    """Round to 12 significant digits for canonical output."""
-    return float(f"{x:.12g}")
+def _canon(obj):
+    """obj with tuples as lists and floats rounded to 12 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, indent=None):
+    """The one canonical JSON writer: sorted keys, floats through _canon."""
+    return json.dumps(_canon(obj), sort_keys=True, indent=indent,
+                      ensure_ascii=False)
 
 
 def build_surface(m, n):

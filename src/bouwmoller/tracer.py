@@ -2,6 +2,7 @@
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cached_property
 
 from .surface import build_surface
@@ -30,24 +31,13 @@ class NotCoAdjacent(ValueError):
     """No cylinder has the two sides as its alternating cutting sequence."""
 
 
-class Crossing:
+class Crossing(namedtuple("Crossing", "label polygon point t entry")):
     """One side crossing: label, polygon left behind, hit point, ray parameter.
 
     entry is where the chord through that polygon ending at point starts.
     """
 
-    __slots__ = ("label", "polygon", "point", "t", "entry")
-
-    def __init__(self, label, polygon, point, t, entry):
-        self.label = label
-        self.polygon = polygon
-        self.point = point
-        self.t = t
-        self.entry = entry
-
-    def as_dict(self):
-        return {"label": self.label, "polygon": self.polygon,
-                "point": [self.point[0], self.point[1]], "t": self.t}
+    __slots__ = ()
 
 
 class CuttingWord:
@@ -87,9 +77,12 @@ def sector_of(direction, n, tol=1e-12):
     """Sector index in 0..2n-1 for a direction angle, and a boundary flag.
 
     Directions within tol of a sector boundary are assigned the smaller of
-    the two adjacent indices.  Raises ValueError for n < 1.
+    the two adjacent indices.  Raises ValueError for an n that is no int or
+    is below 1.
     """
     _check_direction(direction)
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     step = math.pi / n
@@ -211,25 +204,27 @@ def trace(surf, start, direction, max_crossings):
     """Cutting sequence of the trajectory from start in the given direction.
 
     start is a pair (polygon index, point).  Raises ValueError for a
-    direction that is not finite, a polygon index outside 0..m-1 or a
-    max_crossings that is no integer >= 0, and VertexHit if the start lies
-    more than EPS_GEO outside its polygon or within rounding of a side
-    nearly parallel to d (a ray parameter t <= 0 to its exit edge, solved
-    in 2D), or if the trajectory passes within EPS_GEO of a vertex; the
-    caller may perturb the start and retry.  Each crossing is one step of
-    the interval exchange of _exit_tables, one bisection of its guards;
-    they pass no h that the exact test, run within 2 EPS_GEO of a vertex,
-    rejects.  From BLOCK_MIN crossings on, one bisection of _square's
-    blocks takes eight sure steps, adding their shifts one by one, so
-    labels, VertexHit decisions and every h stay those of _walk.
+    direction or start point that is not finite, a polygon index that is no
+    int in 0..m-1 or a max_crossings that is no int >= 0, and VertexHit if
+    the start lies more than EPS_GEO outside its polygon or within rounding
+    of a side nearly parallel to d (a ray parameter t <= 0 to its exit
+    edge, solved in 2D), or if the trajectory passes within EPS_GEO of a
+    vertex; the caller may perturb the start and retry.  Each crossing is
+    one step of the interval exchange of _exit_tables, one bisection of its
+    guards; they pass no h that the exact test, run within 2 EPS_GEO of a
+    vertex, rejects.  From BLOCK_MIN crossings on, one bisection of
+    _square's blocks takes eight sure steps, adding their shifts one by
+    one, so labels, VertexHit decisions and every h stay those of _walk.
     """
     k, (px, py) = start
     _check_direction(direction)
     if not isinstance(max_crossings, int) or max_crossings < 0:
         raise ValueError(f"max_crossings {max_crossings!r} is no int >= 0")
-    if not 0 <= k < len(surf.polygons):
-        raise ValueError(f"start polygon {k} is not in "
+    if not isinstance(k, int) or not 0 <= k < len(surf.polygons):
+        raise ValueError(f"start polygon {k!r} is no int in "
                          f"0..{len(surf.polygons) - 1}")
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError(f"start point {start[1]} is not finite")
     if not surf.polygons[k].contains((px, py), tol=EPS_GEO):
         raise VertexHit(f"start {start[1]} lies outside polygon {k}")
     dx, dy = d = (math.cos(direction), math.sin(direction))

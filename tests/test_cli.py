@@ -9,9 +9,10 @@ import sys
 import pytest
 
 from bouwmoller import build_surface, start_through, trace
-from bouwmoller.cli import (_canon, _dumps, _parse_angle, _parse_start,
-                            _parse_word, main, run_verification)
+from bouwmoller.cli import (_parse_angle, _parse_start, _parse_word, main,
+                            run_verification)
 from bouwmoller.farey import itinerary
+from bouwmoller.surface import _canon, _dumps
 from bouwmoller.tracer import BLOCK_MIN
 
 

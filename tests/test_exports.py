@@ -40,6 +40,25 @@ def _package_imports(name):
     return found
 
 
+def _json_dumps_calls(name):
+    path = Path(bouwmoller.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "dumps"
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "json"
+               for node in ast.walk(tree))
+
+
+def test_only_the_surface_writes_json():
+    # every artifact leaves through surface._dumps, the one canonical
+    # writer: sorted keys, floats at 12 significant digits
+    names = [info.name for info in pkgutil.iter_modules(bouwmoller.__path__)]
+    calls = {name: _json_dumps_calls(name) for name in names + ["__init__"]}
+    assert {name: k for name, k in calls.items() if k} == {"surface": 1}
+
+
 def test_the_geometry_layers_import_no_combinatorics():
     # surface is the bottom layer; the tracer reads only the surface, and
     # takes its periodic directions from the cylinders, not the diagrams

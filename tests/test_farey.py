@@ -3,9 +3,9 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
-import numpy as np
 import pytest
 
 from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _adj, _apply,
@@ -16,24 +16,53 @@ from bouwmoller.farey import (BoundaryOrbit, NoConvergence, _adj, _apply,
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
 
-GAMMA_43 = np.array([[-1.106681919700322, 1.542545107856117],
-                     [0.0, 0.903602003609845]])
+GAMMA_43 = ((-1.106681919700322, 1.542545107856117),
+            (0.0, 0.903602003609845))
+IDENTITY = ((1, 0), (0, 1))
+
+
+# Reference 2x2 arithmetic: exact, on the rationals the doubles stand for.
+def _exact(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def _times(a, v):
+    x, y = map(Fraction, v)
+    return [Fraction(p) * x + Fraction(q) * y for p, q in a]
+
+
+def _product(a, b):
+    columns = [_times(a, col) for col in zip(*b)]
+    return [list(row) for row in zip(*columns)]
+
+
+def _det(a):
+    (p, q), (r, s) = _exact(a)
+    return p * s - q * r
+
+
+def _deviation(a, b):
+    """Largest entry of |a - b|, exactly, for two matrices or two vectors."""
+    if isinstance(a[0], (list, tuple)):
+        return max(map(_deviation, a, b))
+    return max(abs(Fraction(x) - Fraction(y)) for x, y in zip(a, b))
 
 
 def test_gamma_regression():
-    assert np.abs(gamma(4, 3) - GAMMA_43).max() < 1e-12
+    assert _deviation(gamma(4, 3), GAMMA_43) < 1e-12
 
 
 def test_gamma_reverses_orientation_and_keeps_area():
     for m, n in SMALL:
-        assert abs(np.linalg.det(gamma(m, n)) + 1) < 1e-12
+        assert abs(_det(gamma(m, n)) + 1) < 1e-12
 
 
 def test_gamma_sends_sector_boundaries_to_dual_boundaries():
     for m, n in SMALL:
         g = gamma(m, n)
-        v0 = g @ np.array([1.0, 0.0])
-        v1 = g @ np.array([math.cos(math.pi / n), math.sin(math.pi / n)])
+        v0 = [float(x) for x in _times(g, (1.0, 0.0))]
+        v1 = [float(x) for x in _times(g, (math.cos(math.pi / n),
+                                            math.sin(math.pi / n)))]
         ang0 = math.atan2(v0[1], v0[0]) % math.pi
         ang1 = math.atan2(v1[1], v1[0]) % math.pi
         assert min(ang0, math.pi - ang0) < 1e-9 or abs(ang0 - math.pi / m) < 1e-9
@@ -42,18 +71,16 @@ def test_gamma_sends_sector_boundaries_to_dual_boundaries():
 
 def test_reflection_matrices_for_n3():
     r3 = math.sqrt(3)
-    want = [np.eye(2),
-            np.array([[-0.5, r3 / 2], [r3 / 2, 0.5]]),
-            np.array([[-1.0, 0.0], [0.0, 1.0]])]
+    want = [IDENTITY, ((-0.5, r3 / 2), (r3 / 2, 0.5)), ((-1, 0), (0, 1))]
     for i, mat in enumerate(want):
-        assert np.abs(reflection(4, 3, i) - mat).max() < 1e-12
+        assert _deviation(reflection(4, 3, i), mat) < 1e-12
 
 
 def test_reflections_are_involutions():
     for m, n in SMALL:
         for i in range(2 * n):
-            rho = np.array(reflection(m, n, i))
-            assert np.abs(rho @ rho - np.eye(2)).max() < 1e-12
+            rho = reflection(m, n, i)
+            assert _deviation(_product(rho, rho), IDENTITY) < 1e-12
 
 
 def test_sector_map_regression():
@@ -119,10 +146,14 @@ def test_constant_itinerary_recovers_the_eigendirection():
     # iterating inverse branches contracts onto the branch matrix's
     # contracting eigenvector
     mat = _branch_matrix(4, 3, 2, 2)
-    assert abs(np.linalg.det(mat) - 1) < 1e-9
-    evals, evecs = np.linalg.eig(mat)
-    v = evecs[:, int(np.argmin(np.abs(evals)))]
-    want = math.atan2(v[1], v[0]) % math.pi
+    assert abs(_det(mat) - 1) < 1e-9
+    # with determinant 1 the eigenvalues are 1/lam and lam, where lam has
+    # the sign of the trace; (b, 1/lam - a) is the eigenvector of 1/lam
+    (a, b), (_, d) = mat
+    tr = a + d
+    assert abs(tr) > 2  # hyperbolic: two real eigendirections
+    lam = (tr + math.copysign(math.sqrt(tr * tr - 4), tr)) / 2
+    want = math.atan2(1 / lam - a, b) % math.pi
     got = direction_from_itinerary(4, 3, 0, [(2, 2)] * 25, tol=1e-9)
     assert abs(got - want) < 1e-9
     assert abs(got - 0.487806738579) < 1e-9
@@ -233,15 +264,15 @@ def test_cached_matrices_do_not_alias_the_public_ones():
                - theta) < 1e-3
 
 
-def test_matrix_arithmetic_matches_numpy():
-    # numpy is the reference for the 2x2 products, images and adjugates
+def test_matrix_arithmetic_matches_exact_fractions():
+    # exact rational arithmetic is the reference for the 2x2 products and
+    # images; the adjugate only moves and negates entries, so it is exact
     v = (math.cos(0.3), math.sin(0.3))
     for m, n in SMALL + [(3, 7), (7, 3)]:
         mats = [_branch_matrix(m, n, a, b)
                 for a in range(1, m) for b in range(1, n)]
         for a, b in zip(mats, mats[1:] + mats[:1]):
-            ref_a, ref_b = np.array(a), np.array(b)
-            assert np.abs(np.array(_mul(a, b)) - ref_a @ ref_b).max() < 1e-12
-            assert np.abs(np.array(_apply(a, v)) - ref_a @ v).max() < 1e-12
-            adj = np.linalg.det(ref_a) * np.linalg.inv(ref_a)
-            assert np.abs(np.array(_adj(a)) - adj).max() < 1e-12
+            assert _deviation(_mul(a, b), _product(a, b)) < 1e-12
+            assert _deviation(_apply(a, v), _times(a, v)) < 1e-12
+            (p, q), (r, s) = _exact(a)
+            assert _exact(_adj(a)) == [[s, -q], [-r, p]]

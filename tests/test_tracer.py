@@ -394,8 +394,6 @@ def test_crossings_lie_on_their_sides():
             (k, e), = (s for s in surf.seats(c.label) if s[0] == c.polygon)
             assert _distance_to_segment(c.point, *surf.polygons[k].edge(e)) \
                 < 1e-9
-            assert c.as_dict() == {"label": c.label, "polygon": c.polygon,
-                                   "point": list(c.point), "t": c.t}
 
 
 def test_traced_words_are_admissible_in_the_direction_sector():
@@ -454,10 +452,22 @@ _LAST = start_through(_SURF, 8, 0.35)  # a start in polygon 3, the last
     (lambda: trace(_SURF, _LAST, 0.35, "10"), "max_crossings '10' "),
     (lambda: sector_of(0.35, 0), "n must be at least 1, got 0"),
     (lambda: sector_of(0.35, -3), "n must be at least 1, got -3"),
+    (lambda: sector_of(0.3, 2.5), "n must be an int, got 2.5"),
+    (lambda: sector_of(0.3, 3.0), "n must be an int, got 3.0"),
+    (lambda: sector_of(0.3, "3"), "n must be an int, got '3'"),
+    (lambda: trace(_SURF, (3, (math.nan, 0.5)), 0.35, 10),
+     r"start point \(nan, 0.5\) is not finite"),
+    (lambda: trace(_SURF, (3, (5.0, -math.inf)), 0.35, 10),
+     r"start point \(5.0, -inf\) is not finite"),
+    (lambda: trace(_SURF, (0.0, _LAST[1]), 0.35, 10), "start polygon 0.0 "),
 ], ids=["trace-nan", "trace-inf", "start-nan", "start-inf", "sector-nan",
         "cylinder-nan", "polygon-m", "polygon-minus-1", "window-negative",
-        "window-float", "window-str", "sector-n-0", "sector-n-negative"])
+        "window-float", "window-str", "sector-n-0", "sector-n-negative",
+        "sector-n-float", "sector-n-integral-float", "sector-n-str",
+        "start-point-nan", "start-point-inf", "polygon-float"])
 def test_bad_trace_input_raises_value_error(call, match):
+    # a bad argument is a ValueError, never a VertexHit (which asks the
+    # caller to perturb the start and retry) nor a TypeError
     with pytest.raises(ValueError, match=match):
         call()
 
