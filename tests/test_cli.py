@@ -248,6 +248,15 @@ def test_trace_report_schema(tmp_path):
       "0"), "--tol must be finite and above 0, got 0.0"),
     (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--tol",
       "-1"), "--tol must be finite and above 0, got -1.0"),
+    # the renormalization gate comes before every other check
+    (("derive", "-m", "2", "-n", "5", "--word", "1"),
+     "renormalization needs m, n >= 3, got (2, 5)"),
+    (("farey", "-m", "2", "-n", "5", "--depth", "3"),
+     "renormalization needs m, n >= 3, got (2, 5)"),
+    (("subst", "-m", "2", "-n", "5", "-i", "1", "--word", "r1", "--out", "x"),
+     "renormalization needs m, n >= 3, got (2, 5)"),
+    (("recognize", "-m", "2", "-n", "5", "--itinerary", "0,1,1", "--tol",
+      "0"), "renormalization needs m, n >= 3, got (2, 5)"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
@@ -260,7 +269,9 @@ def test_trace_report_schema(tmp_path):
         "farey-theta-svg", "farey-depth-without-theta", "subst-word-out",
         "diagram-hooper-json", "verify-all-small-and-m",
         "recognize-itinerary-depth", "farey-zero-depth", "recognize-nan-tol",
-        "recognize-zero-tol", "recognize-negative-tol"])
+        "recognize-zero-tol", "recognize-negative-tol", "gate-before-derive",
+        "gate-before-farey-depth", "gate-before-subst-out",
+        "gate-before-recognize-tol"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
@@ -412,12 +423,18 @@ def test_verify_reports_are_byte_deterministic():
     assert not any(k.startswith("_") for c in report["checks"] for k in c)
 
 
-def test_verify_report_is_pinned(capsys):
-    # the whole report, across runs and changes that keep its behaviour
-    assert main(["verify", "--all-small", "--seed", "1", "--trials", "20"]) == 0
+@pytest.mark.parametrize("args, digest", [
+    (("--seed", "1", "--trials", "20"),
+     "bf6b9f53d861e3f19a9dc3d0c68971df6050a4866c5dff5e5ed745498b9bf4d7"),
+    (("--seed", "7"),
+     "5d5b63b71813361eea89f3ca4d56ba702e720042e54ff6917b3b4c8e58f785b7"),
+], ids=["seed-1-trials-20", "seed-7"])
+def test_verify_report_is_pinned(args, digest, capsys):
+    # the whole report, across runs and changes that keep its behaviour;
+    # seed 7 runs every check at its own trial count
+    assert main(["verify", "--all-small", *args]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "bf6b9f53d861e3f19a9dc3d0c68971df6050a4866c5dff5e5ed745498b9bf4d7")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_requires_a_target():
