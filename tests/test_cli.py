@@ -301,12 +301,17 @@ def test_bad_arguments_are_usage_errors(args, message):
      "--word", "1,6"),
     ("trace", "-m", "4", "-n", "3", "--theta", "0.35", "--start", "1:1.5,0.7",
      "--through", "5"),
+    # an option given at its default value still counts as given
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.35", "--start", "1:1.5,0.7",
+     "--through", "1"),
+    ("diagram", "-m", "4", "-n", "3", "--derivation", "-i", "0"),
 ], ids=["diagram-svg", "recognize-out", "derive-format", "generate-format",
         "subst-format", "recognize-format", "verify-format", "surface-format",
         "trace-format", "farey-format", "subst-table-and-word",
         "diagram-hooper-and-sector", "diagram-derivation-and-sector",
         "diagram-hooper-and-derivation", "recognize-itinerary-and-word",
-        "trace-start-and-through"])
+        "trace-start-and-through", "trace-start-and-default-through",
+        "diagram-derivation-and-default-sector"])
 def test_options_a_command_ignores_are_rejected(args, capsys):
     # each subcommand takes only the options it acts on, and of the options
     # that choose what to do only one; SVG output has the one switch --svg
