@@ -108,8 +108,10 @@ GOLDEN_DERIVE_43 = ([1, 6, 7, 8, 7, 8, 5, 4, 5, 2], [4, 3, 4, 7, 6, 1])
 # ---------------------------------------------------------------------------
 # Output.
 
-def _emit(args, name, text):
-    """Write text under the output directory, or print when none given."""
+def _emit(args, name, content):
+    """Write an artifact under the output directory, or print it when none
+    is given; content other than text is written as canonical JSON."""
+    text = content if isinstance(content, str) else _dumps(content, indent=2)
     if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name)
@@ -118,6 +120,13 @@ def _emit(args, name, text):
         print(path)
     else:
         print(text)
+
+
+def _print_word(args, word, name, record):
+    """Print the word; with --out, also write the record that record() builds."""
+    print(",".join(str(x) for x in word))
+    if args.out:
+        _emit(args, name, record())
 
 
 def _parse_word(text):
@@ -208,20 +217,15 @@ def check_derivation_golden():
 
 def check_substitution_goldens():
     """Pseudo-substitution tables and the composed table for (4,3)."""
-    bad = []
-    for (m, n, i), table in sorted(GOLDEN_PSUB.items()):
-        got = pseudo_substitution(m, n, i)
-        for k in table:
-            if list(got.get(k, [])) != table[k]:
-                bad.append([m, n, i, k, list(got.get(k, [])), table[k]])
-    got11 = substitution(4, 3, 1, 1)
-    for k, v in GOLDEN_SIGMA11_43.items():
-        if list(got11.get(k, [])) != v:
-            bad.append([4, 3, "1,1", k, list(got11.get(k, [])), v])
-    entries = sum(len(t) for t in GOLDEN_PSUB.values()) + len(GOLDEN_SIGMA11_43)
+    tables = [((m, n, i), pseudo_substitution(m, n, i), want)
+              for (m, n, i), want in sorted(GOLDEN_PSUB.items())]
+    tables.append(((4, 3, "1,1"), substitution(4, 3, 1, 1), GOLDEN_SIGMA11_43))
+    bad = [[*key, k, list(got.get(k, [])), v] for key, got, want in tables
+           for k, v in want.items() if list(got.get(k, [])) != v]
     return {"name": "substitution-goldens",
             "status": "pass" if not bad else "fail",
-            "entries_checked": entries, "mismatches": bad}
+            "entries_checked": sum(len(want) for _, _, want in tables),
+            "mismatches": bad}
 
 
 def check_permutation_goldens():
@@ -489,12 +493,10 @@ def check_periodic_fixed_points():
             failures.append([m, n, n1, n2, "realize"])
             continue
         w = list(word.labels)
-        periodic = (set(w[0::2]) == {w[0]} and set(w[1::2]) == {w[1]}
-                    and {w[0], w[1]} == {n1, n2})
         _, u = normalize(m, n, w)
         image = derive(m, n, u, cyclic=True)
-        if not (periodic and fixed_point_form(w) and len(image) == len(w)
-                and fixed_point_form(image)):
+        if not (fixed_point_form(w) in ((n1, n2), (n2, n1))
+                and len(image) == len(w) and fixed_point_form(image)):
             failures.append([m, n, n1, n2, "renormalize"])
     return {"name": "periodic-fixed-points",
             "status": "pass" if not failures else "fail",
@@ -518,7 +520,7 @@ def run_verification(surfaces, seed=7, trials=None):
         checks.append(check_geometric_oracle(m, n, seed=seed, **counts))
         checks.append(check_generation_inverse(m, n, seed=seed, **counts))
         checks.append(check_direction_recognition(m, n, seed=seed, **counts))
-    report = {
+    return {
         "seed": seed,
         "surfaces": [list(s) for s in surfaces],
         "checks": [{k: v for k, v in c.items() if not k.startswith("_")}
@@ -526,7 +528,6 @@ def run_verification(surfaces, seed=7, trials=None):
         "status": "pass" if all(c["status"] == "pass" for c in checks)
                   else "fail",
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -563,54 +564,42 @@ def cmd_trace(args):
             raise SystemExit2(f"start {args.start} is not inside polygon "
                               f"{k} of 0..{args.m - 1}")
     else:
-        through = 1 if args.through is None else args.through
-        if through not in surf.labels:
-            raise SystemExit2(f"side {through} is not a label "
+        if args.through not in surf.labels:
+            raise SystemExit2(f"side {args.through} is not a label "
                               f"1..{len(surf.labels)}")
-        start = start_through(surf, through, theta)
+        start = start_through(surf, args.through, theta)
     word = trace(surf, start, theta, args.crossings)
-    print(",".join(str(x) for x in word.labels))
-    if args.out:
-        data = {"m": args.m, "n": args.n, "direction": theta,
-                "start": {"polygon": start[0], "point": start[1]},
-                "word": list(word.labels),
-                "crossings": [{"label": c.label, "polygon": c.polygon,
-                               "point": c.point, "t": c.t}
-                              for c in word.crossings]}
-        _emit(args, f"trace_m{args.m}n{args.n}.json", _dumps(data, indent=2))
-        if args.svg:
-            segments = [(c.entry, c.point) for c in word.crossings]
-            _emit(args, f"trace_m{args.m}n{args.n}.svg",
-                  surf.to_svg(segments=segments))
+    _print_word(args, word.labels, f"trace_m{args.m}n{args.n}.json", lambda: {
+        "m": args.m, "n": args.n, "direction": theta,
+        "start": {"polygon": start[0], "point": start[1]},
+        "word": list(word.labels),
+        "crossings": [{"label": c.label, "polygon": c.polygon,
+                       "point": c.point, "t": c.t} for c in word.crossings]})
+    if args.svg:
+        _emit(args, f"trace_m{args.m}n{args.n}.svg", surf.to_svg(
+            segments=[(c.entry, c.point) for c in word.crossings]))
     return 0
 
 
 def cmd_derive(args):
-    _require_renorm_params(args.m, args.n)
     word = _parse_word(args.word)
     out = derive(args.m, args.n, word, cyclic=not args.open)
-    print(",".join(str(x) for x in out))
-    if args.out:
-        _emit(args, "derive.json",
-              _dumps({"m": args.m, "n": args.n, "word": word,
-                      "cyclic": not args.open, "derived": out}, indent=2))
+    _print_word(args, out, "derive.json", lambda: {
+        "m": args.m, "n": args.n, "word": word, "cyclic": not args.open,
+        "derived": out})
     return 0
 
 
 def cmd_generate(args):
-    _require_renorm_params(args.m, args.n)
     word = _parse_word(args.word)
     out = generate(args.m, args.n, args.sector, word)
-    print(",".join(str(x) for x in out))
-    if args.out:
-        _emit(args, "generate.json",
-              _dumps({"m": args.m, "n": args.n, "sector": args.sector,
-                      "word": word, "generated": out}, indent=2))
+    _print_word(args, out, "generate.json", lambda: {
+        "m": args.m, "n": args.n, "sector": args.sector, "word": word,
+        "generated": out})
     return 0
 
 
 def cmd_subst(args):
-    _require_renorm_params(args.m, args.n)
     if args.word and args.out:
         raise SystemExit2("subst --word prints its image; --out is for the table")
     if args.j is None:
@@ -620,10 +609,9 @@ def cmd_subst(args):
         table = substitution(args.m, args.n, args.i, args.j)
         kind = "substitution"
     if not args.word:
-        data = {"m": args.m, "n": args.n, "i": args.i, "j": args.j,
-                "kind": kind,
-                "table": {k: list(v) for k, v in table.items()}}
-        _emit(args, "substitution.json", _dumps(data, indent=2))
+        _emit(args, "substitution.json", {
+            "m": args.m, "n": args.n, "i": args.i, "j": args.j, "kind": kind,
+            "table": {k: list(v) for k, v in table.items()}})
         return 0
     word = _parse_word(args.word)
     unknown = [name for name in word if name not in table]
@@ -635,7 +623,6 @@ def cmd_subst(args):
 
 
 def cmd_farey(args):
-    _require_renorm_params(args.m, args.n)
     m, n = args.m, args.n
     if args.theta is None and args.depth is not None:
         raise SystemExit2("farey --depth needs --theta")
@@ -670,7 +657,7 @@ def cmd_farey(args):
                 print(f"warning: the double {theta!r} does not determine "
                       f"itinerary pair {min(firsts)} (0-based) or later ones",
                       file=sys.stderr)
-        print(_dumps(data, indent=2))
+        _emit(args, None, data)  # --out was refused above, so this prints
         return 0
     branches = {f"{a},{b}": {"lo": lo, "hi": hi, "matrix": mat}
                 for (a, b), (lo, hi, mat) in ff_branches(m, n).items()}
@@ -678,7 +665,7 @@ def cmd_farey(args):
             "gamma": gamma(m, n),
             "subsectors": [list(s) for s in subsectors(m, n)],
             "branches": branches}
-    _emit(args, f"farey_m{m}n{n}.json", _dumps(data, indent=2))
+    _emit(args, f"farey_m{m}n{n}.json", data)
     if args.svg:
         _emit(args, f"farey_m{m}n{n}.svg", _farey_svg(m, n))
     return 0
@@ -709,7 +696,6 @@ def _farey_svg(m, n):
 
 
 def cmd_recognize(args):
-    _require_renorm_params(args.m, args.n)
     if not 0 < args.tol < math.inf:
         raise SystemExit2(f"--tol must be finite and above 0, got {args.tol}")
     m, n = args.m, args.n
@@ -725,8 +711,6 @@ def cmd_recognize(args):
             raise SystemExit2(usage) from None
         if len(flat) < 3 or len(flat) % 2 == 0:
             raise SystemExit2(usage)
-        b0, rest = flat[0], flat[1:]
-        pairs = list(zip(rest[0::2], rest[1::2]))
     elif args.word:
         word = _parse_word(args.word)
         depth = 8 if args.depth is None else args.depth
@@ -735,7 +719,7 @@ def cmd_recognize(args):
         depth += depth % 2
         # derivation stops early where the word runs out of letters; that
         # stage is ambiguous, so the stop rule below applies to it
-        _, secs, amb = derivative_sequence(m, n, word, depth)
+        _, flat, amb = derivative_sequence(m, n, word, depth)
         if any(amb):
             # a derivative too short to fix its sector fixes no later one
             stop = amb.index(True)
@@ -744,11 +728,11 @@ def cmd_recognize(args):
                                   "sectors, before any whole branch pair")
             print(f"warning: stopped at derivation stage {stop}, whose "
                   "sectors are ambiguous", file=sys.stderr)
-            secs = secs[:stop]
-        b0, rest = secs[0], secs[1:]
-        pairs = list(zip(rest[0::2], rest[1::2]))
+            flat = flat[:stop]
     else:
         raise SystemExit2("recognize needs --itinerary or --word")
+    b0, *rest = flat
+    pairs = list(zip(rest[0::2], rest[1::2]))
     theta = direction_from_itinerary(m, n, b0, pairs, tol=args.tol)
     print(f"{theta:.12g}")
     return 0
@@ -769,7 +753,7 @@ def cmd_verify(args):
             raise SystemExit2(
                 f"verify does not support m and n both even, got ({m}, {n})")
     report = run_verification(surfaces, seed=args.seed, trials=args.trials)
-    _emit(args, "verify_report.json", _dumps(report, indent=2))
+    _emit(args, "verify_report.json", report)
     return 0 if report["status"] == "pass" else 1
 
 
@@ -784,9 +768,8 @@ def cmd_diagram(args):
         diagram = build_D0(args.m, args.n)
         stem = f"d0_m{args.m}n{args.n}"
     else:
-        sector = args.sector or 0
-        diagram = build_Ti(args.m, args.n, sector)
-        stem = f"t{sector}_m{args.m}n{args.n}"
+        diagram = build_Ti(args.m, args.n, args.sector)
+        stem = f"t{args.sector}_m{args.m}n{args.n}"
     if args.format == "dot":
         _emit(args, f"{stem}.dot", diagram.to_dot())
     else:
@@ -803,11 +786,15 @@ def _build_parser():
                     "and their renormalization operators.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, out=True, renorm=False):
         p.add_argument("-m", type=int, required=True, help="polygon count")
         p.add_argument("-n", type=int, required=True, help="half the sides")
         if out:
             p.add_argument("--out", help="output directory")
+        p.set_defaults(renorm=renorm)  # main then checks m, n >= 3
+
+    # argparse parses a string default as if given, and counts an option
+    # given at an int default as absent, so --through and -i default to text
 
     p = sub.add_parser("surface", help="construct and export a surface")
     common(p)
@@ -819,7 +806,7 @@ def _build_parser():
     p.add_argument("--theta", required=True, help="direction in radians")
     where = p.add_mutually_exclusive_group()
     where.add_argument("--start", help="start as POLY:X,Y")
-    where.add_argument("--through", type=int,
+    where.add_argument("--through", type=int, default="1",
                        help="start just behind this side (default 1)")
     p.add_argument("--crossings", type=int, default=64)
     p.add_argument("--svg", action="store_true",
@@ -827,20 +814,20 @@ def _build_parser():
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("derive", help="derivation operator on a word")
-    common(p)
+    common(p, renorm=True)
     p.add_argument("--word", required=True, help="comma-separated labels")
     p.add_argument("--open", action="store_true",
                    help="treat the word as a finite window, not periodic")
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("generate", help="generation operator on a word")
-    common(p)
+    common(p, renorm=True)
     p.add_argument("-i", "--sector", type=int, required=True)
     p.add_argument("--word", required=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("subst", help="substitution tables and images")
-    common(p)
+    common(p, renorm=True)
     p.add_argument("-i", type=int, required=True)
     p.add_argument("-j", type=int)
     what = p.add_mutually_exclusive_group()
@@ -849,14 +836,14 @@ def _build_parser():
     p.set_defaults(fn=cmd_subst)
 
     p = sub.add_parser("farey", help="Farey map data and plots")
-    common(p)
+    common(p, renorm=True)
     p.add_argument("--theta", help="apply the map at this direction")
     p.add_argument("--depth", type=int, help="itinerary length")
     p.add_argument("--svg", action="store_true", help="write the map graph")
     p.set_defaults(fn=cmd_farey)
 
     p = sub.add_parser("recognize", help="direction from an itinerary")
-    common(p, out=False)
+    common(p, out=False, renorm=True)
     given = p.add_mutually_exclusive_group()
     given.add_argument("--itinerary", help="flat list b0,a1,b1,...")
     given.add_argument("--word", help="recover the itinerary from this word")
@@ -870,7 +857,8 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "dot"),
                    help="json (default) or dot; --hooper writes dot")
     which = p.add_mutually_exclusive_group()
-    which.add_argument("-i", "--sector", type=int, help="T_i (default 0)")
+    which.add_argument("-i", "--sector", type=int, default="0",
+                       help="T_i (default 0)")
     which.add_argument("--derivation", action="store_true")
     which.add_argument("--hooper", action="store_true")
     p.set_defaults(fn=cmd_diagram)
@@ -892,12 +880,13 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "m", None) is not None and args.command != "verify":
-        if args.m < 2 or args.n < 3:
-            print(f"error: need m >= 2 and n >= 3, got ({args.m}, {args.n})",
-                  file=sys.stderr)
-            return 2
+    if args.command != "verify" and (args.m < 2 or args.n < 3):
+        print(f"error: need m >= 2 and n >= 3, got ({args.m}, {args.n})",
+              file=sys.stderr)
+        return 2
     try:
+        if getattr(args, "renorm", False):
+            _require_renorm_params(args.m, args.n)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -177,8 +177,11 @@ def _sector_masks(m, n):
 
 def _word_codes(m, n, word):
     """Codes of the word's transitions and the AND of their masks; (None, 0)
-    if one is in no T_i.  Dicts, unlike lists, do not wrap a letter -1."""
+    if one is in no T_i or a lone letter is no side.  Dicts, unlike lists,
+    do not wrap a letter -1."""
     code, masks, full = _sector_masks(m, n)
+    if len(word) == 1 and word[0] not in code:
+        return None, 0
     try:
         codes = list(map(getitem, map(code.__getitem__, word[:-1]), word[1:]))
     except KeyError:

@@ -152,7 +152,6 @@ def subsectors(m, n):
     return [tuple(sorted(pair)) for pair in zip(cuts, cuts[1:])]
 
 
-@lru_cache(maxsize=None)
 def _branch_matrix(m, n, a, b):
     return _mul(_mul(_mul(reflection(m, n, b), gamma(n, m)),
                      reflection(n, m, a)), gamma(m, n))
@@ -195,8 +194,8 @@ class Itinerary(namedtuple("Itinerary", "b0 pairs")):
 
 def itinerary(m, n, theta, k):
     """Sector of theta and the first k branch pairs of its orbit."""
-    if k < 1:
-        raise ValueError("need k >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"need an int k >= 1, got {k!r}")
     b0, on_boundary = sector_of(theta, n, tol=EPS_DYN)
     if on_boundary:
         raise BoundaryOrbit(f"direction {theta} on a sector boundary")
@@ -217,13 +216,21 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
     inverse branches.  Every direction with this itinerary prefix lies in
     the final interval, so a returned value is within tol of the true
     direction; if the pairs do not pin the direction down that far the
-    stall is reported as NoConvergence instead of a fabricated digit."""
+    stall is reported as NoConvergence instead of a fabricated digit.
+    Raises ValueError for a tol that is not finite and above 0, and for
+    entries that are no int or out of range."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and above 0, got {tol}")
     pairs = [tuple(p) for p in pairs]
     if not pairs:
         raise ValueError("need at least one branch pair")
+    if not isinstance(b0, int):
+        raise ValueError(f"b0 {b0!r} is no int")
     if not 0 <= b0 <= 2 * n - 1:
         raise ValueError(f"b0 {b0} out of range 0..{2 * n - 1}")
     for a, b in pairs:
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError(f"branch pair ({a!r}, {b!r}) is no pair of ints")
         if not (1 <= a <= m - 1 and 1 <= b <= n - 1):
             raise ValueError(f"branch pair ({a}, {b}) out of range")
     e1 = (math.cos(math.pi / n), math.sin(math.pi / n))

@@ -11,7 +11,6 @@ tests/test_hooper.py.
 """
 
 import math
-from functools import lru_cache
 
 from .diagrams import t0_grid
 
@@ -73,7 +72,6 @@ class HooperDiagram:
         return "\n".join(out)
 
 
-@lru_cache(maxsize=None)
 def build_hooper(m, n):
     return HooperDiagram(m, n)
 

@@ -67,8 +67,10 @@ def derivative_sequence(m, n, word, k):
     sectors for the input word, whose direction may point anywhere, and
     among the upward sectors for its derivatives.  A word of fewer than
     two letters has no derivative, so the sequence stops there, with fewer
-    than k+1 stages.
+    than k+1 stages.  Raises ValueError for k < 0.
     """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     cur = list(word)
     mm, nn = m, n
     words, sectors, ambiguous = [cur], [], []

@@ -248,6 +248,8 @@ def test_trace_report_schema(tmp_path):
       "0"), "--tol must be finite and above 0, got 0.0"),
     (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--tol",
       "-1"), "--tol must be finite and above 0, got -1.0"),
+    (("recognize", "-m", "4", "-n", "3", "--word", "99"),
+     "derivation stage 0 has ambiguous sectors, before any whole branch pair"),
     # the renormalization gate comes before every other check
     (("derive", "-m", "2", "-n", "5", "--word", "1"),
      "renormalization needs m, n >= 3, got (2, 5)"),
@@ -269,7 +271,8 @@ def test_trace_report_schema(tmp_path):
         "farey-theta-svg", "farey-depth-without-theta", "subst-word-out",
         "diagram-hooper-json", "verify-all-small-and-m",
         "recognize-itinerary-depth", "farey-zero-depth", "recognize-nan-tol",
-        "recognize-zero-tol", "recognize-negative-tol", "gate-before-derive",
+        "recognize-zero-tol", "recognize-negative-tol",
+        "recognize-word-no-side", "gate-before-derive",
         "gate-before-farey-depth", "gate-before-subst-out",
         "gate-before-recognize-tol"])
 def test_bad_arguments_are_usage_errors(args, message):

@@ -174,14 +174,18 @@ def test_traced_words_are_admissible_in_their_sector(m, n):
 
 
 def _admissible_reference(m, n, word):
-    # one diagram per sector, as admissible_in worked before its mask table
+    # one diagram per sector, as admissible_in worked before its mask table;
+    # every letter must be a vertex, also the one letter of a short word
     pairs = set(zip(word, word[1:]))
     out = set()
     for i in range(n):
         try:
-            arrows = build_Ti(m, n, i).arrows
+            diagram = build_Ti(m, n, i)
         except ValueError:
             continue
+        if not set(word) <= {x for row in diagram.grid for x in row}:
+            continue
+        arrows = diagram.arrows
         if pairs <= arrows:
             out.add(i)
         if {(b, a) for a, b in pairs} <= arrows:

@@ -59,6 +59,24 @@ def test_only_the_surface_writes_json():
     assert {name: k for name, k in calls.items() if k} == {"surface": 1}
 
 
+def _callers(tree, name):
+    """Top-level functions and classes of a module that call name, with
+    "<module>" for a call outside them."""
+    return {getattr(stmt, "name", "<module>") for stmt in tree.body
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))}
+
+
+def test_the_cli_states_its_writer_and_its_gate_once():
+    # _emit is the one path by which an artifact leaves the CLI; main
+    # applies the renormalization gate, and verify to each of its surfaces
+    path = Path(bouwmoller.__file__).with_name("cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _callers(tree, "_dumps") == {"_emit"}
+    assert _callers(tree, "_require_renorm_params") == {"main", "cmd_verify"}
+
+
 def test_the_geometry_layers_import_no_combinatorics():
     # surface is the bottom layer; the tracer reads only the surface, and
     # takes its periodic directions from the cylinders, not the diagrams

@@ -184,6 +184,22 @@ def test_direction_recovery_validates_input():
         direction_from_itinerary(4, 3, 0, [(1, 3)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: direction_from_itinerary(4, 3, 0, [(2, 2)] * 25, tol=math.nan),
+     "tol must be finite and above 0, got nan"),
+    (lambda: direction_from_itinerary(4, 3, 0, [(2, 2)] * 25, tol=-1),
+     "tol must be finite and above 0, got -1"),
+    (lambda: direction_from_itinerary(4, 3, 0.5, [(2, 2)] * 25),
+     "b0 0.5 is no int"),
+    (lambda: direction_from_itinerary(4, 3, 0, [(1.5, 1)] * 25),
+     r"branch pair \(1.5, 1\) is no pair of ints"),
+    (lambda: itinerary(4, 3, 0.3, 2.5), "need an int k >= 1, got 2.5"),
+], ids=["tol-nan", "tol-negative", "b0-float", "pair-float", "depth-float"])
+def test_bad_numeric_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_recognition_is_bit_exact():
     # itinerary and recovered direction, to the last bit, or the class of
     # the exception, for seeded directions on eight surfaces

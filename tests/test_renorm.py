@@ -96,6 +96,31 @@ def test_derivative_sequence_stops_at_short_words():
     assert words == [[1]] and len(sectors) == len(ambiguous) == 1
 
 
+def test_a_letter_that_is_no_side_is_admissible_nowhere():
+    # a one-letter word has no transition to look up, only its letter
+    assert admissible_in(4, 3, [999]) == set()
+    with pytest.raises(NotAdmissible, match="admissible in no sector"):
+        normalize(4, 3, [999])
+    assert derivative_sequence(4, 3, [999], 4) == ([[999]], [None], [True])
+    # controls: the empty word is admissible in every normalizing sector,
+    # and so is every side alone
+    assert admissible_in(4, 4, []) == {0, 1, 3, 4, 5, 7}
+    for m in range(2, 7):
+        for n in range(3, 7):
+            everywhere = admissible_in(m, n, [])
+            assert all(admissible_in(m, n, [s]) == everywhere
+                       for s in build_surface(m, n).labels)
+    assert normalize(4, 3, [5]) == (0, [5])
+    assert derivative_sequence(4, 3, [5], 4) == ([[5]], [0], [True])
+
+
+def test_derivative_sequence_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="need k >= 0, got -1"):
+        derivative_sequence(4, 3, [1, 6, 7, 8], -1)
+    assert derivative_sequence(4, 3, [1, 6, 7, 8], 0) == (
+        [[1, 6, 7, 8]], [0], [False])
+
+
 def test_generate_regression():
     assert generate(4, 3, 1, [1, 2, 3, 4]) == [7, 8, 5, 6, 5, 2, 1]
 
@@ -278,7 +303,8 @@ def test_code_table_edges_are_unchanged():
     # the result or the exception's class and message, to the last bit, on
     # seeded words of every normalizing sector with a letter that is no
     # side (0, -1 or n(m-1)+1) put first, in the middle or last, and on
-    # one-letter and empty words, for 3 <= m, n <= 7
+    # one-letter and empty words, for 3 <= m, n <= 7; a one-letter word
+    # whose letter is no side is admissible nowhere
     digest = hashlib.sha256()
     rng = random.Random(1717)
     for m in range(3, 8):
@@ -301,4 +327,4 @@ def test_code_table_edges_are_unchanged():
                             _outcome(derivative_sequence, m, n, word, 3)):
                     digest.update(repr(out).encode())
     assert digest.hexdigest() == (
-        "a5c8a38f79ebd45598be5e5a6ed07eabebcfb169d8c3607a482092d9e325089d")
+        "5d1b73cc35dc4c58b7a995aa293d769d52663428f96d50bcfa02e2c361b2e101")
