@@ -302,29 +302,32 @@ def test_code_table_edges_are_unchanged():
     # admissible_in, derive (open and cyclic) and derivative_sequence, as
     # the result or the exception's class and message, to the last bit, on
     # seeded words of every normalizing sector with a letter that is no
-    # side (0, -1 or n(m-1)+1) put first, in the middle or last, and on
-    # one-letter and empty words, for 3 <= m, n <= 7; a one-letter word
-    # whose letter is no side is admissible nowhere
+    # side (0, -1, n(m-1)+1, 255 or 256) or a 1 spelled 1.0 or True put
+    # first, in the middle or last, on the whole word spelled in floats,
+    # and on one-letter and empty words, for 3 <= m, n <= 7 and for M(3,8)
+    # and M(8,3), one on each side of 16 sides with its dual on the other;
+    # a one-letter word whose letter is no side is admissible nowhere
     digest = hashlib.sha256()
     rng = random.Random(1717)
-    for m in range(3, 8):
-        for n in range(3, 8):
-            outside = (0, -1, n * (m - 1) + 1)
-            words = [[], [1], [0], [-1], [n * (m - 1) + 1]]
-            for _ in range(6):
-                i = rng.choice(_normalizing_sectors(m, n))
-                inv = {v: k for k, v in sector_permutation(m, n, i % n).items()}
-                u = _random_t0_word(m, n, rng, rng.randrange(2, 30))
-                word = [inv[x] for x in (u[::-1] if i >= n else u)]
-                words.append(word)
-                for x in outside:
-                    for at in (0, len(word) // 2, len(word) - 1):
-                        words.append(word[:at] + [x] + word[at + 1:])
-            for word in words:
-                for out in (_outcome(admissible_in, m, n, word),
-                            _outcome(derive, m, n, word),
-                            _outcome(derive, m, n, word, True),
-                            _outcome(derivative_sequence, m, n, word, 3)):
-                    digest.update(repr(out).encode())
+    surfaces = [(m, n) for m in range(3, 8) for n in range(3, 8)]
+    for m, n in surfaces + [(3, 8), (8, 3)]:
+        outside = (0, -1, n * (m - 1) + 1, 255, 256, 1.0, True)
+        words = [[], [1], [0], [-1], [n * (m - 1) + 1], [255], [256], [1.0],
+                 [True]]
+        for _ in range(6):
+            i = rng.choice(_normalizing_sectors(m, n))
+            inv = {v: k for k, v in sector_permutation(m, n, i % n).items()}
+            u = _random_t0_word(m, n, rng, rng.randrange(2, 30))
+            word = [inv[x] for x in (u[::-1] if i >= n else u)]
+            words += [word, [float(x) for x in word]]
+            for x in outside:
+                for at in (0, len(word) // 2, len(word) - 1):
+                    words.append(word[:at] + [x] + word[at + 1:])
+        for word in words:
+            for out in (_outcome(admissible_in, m, n, word),
+                        _outcome(derive, m, n, word),
+                        _outcome(derive, m, n, word, True),
+                        _outcome(derivative_sequence, m, n, word, 3)):
+                digest.update(repr(out).encode())
     assert digest.hexdigest() == (
-        "5d1b73cc35dc4c58b7a995aa293d769d52663428f96d50bcfa02e2c361b2e101")
+        "fc6e75570ee548902f0e9ceeff45594eef3192454054fde3079f6652261765c1")
