@@ -724,6 +724,10 @@ def cmd_recognize(args):
             # a derivative too short to fix its sector fixes no later one
             stop = amb.index(True)
             if stop < 3:
+                if flat[stop] is None:
+                    mm, nn = (m, n) if stop % 2 == 0 else (n, m)
+                    raise SystemExit2(
+                        f"word admissible in no sector of M({mm},{nn})")
                 raise SystemExit2(f"derivation stage {stop} has ambiguous "
                                   "sectors, before any whole branch pair")
             print(f"warning: stopped at derivation stage {stop}, whose "

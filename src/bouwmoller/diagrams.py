@@ -154,11 +154,13 @@ def sector_permutation(m, n, i):
 
 @lru_cache(maxsize=None)
 def _sector_masks(m, n):
-    """Transition table of M(m,n): (code, masks, full).  code[a][b] numbers
-    each transition (a, b) that some T_i has, either way round; bit i of
+    """Transition table of M(m,n): (code, masks, full).  code[a][b] is the
+    code (a-1)*r + b-1, r = max(16, n(m-1)), of each transition (a, b) that
+    some T_i has, either way round: one byte on at most 16 sides.  Bit i of
     masks[code[a][b]] is set when T_i has the arrow (a, b), and bit i + n
-    when it has (b, a), so that T_i admits the reversed word.  full is the
-    mask of every sector with a reflecting normalization."""
+    when it has (b, a), so that T_i admits the reversed word; the masks of
+    the other codes are 0.  full is the mask of every sector with a
+    reflecting normalization."""
     pairs, full = {}, 0
     for i in range(n):
         try:
@@ -169,24 +171,57 @@ def _sector_masks(m, n):
         for a, b in arrows:
             pairs[(a, b)] = pairs.get((a, b), 0) | 1 << i
             pairs[(b, a)] = pairs.get((b, a), 0) | 1 << (i + n)
-    code = {}
-    for c, (a, b) in enumerate(pairs):
-        code.setdefault(a, {})[b] = c
-    return code, list(pairs.values()), full
+    r = max(16, n * (m - 1))
+    code, masks = {}, [0] * (r * r)
+    for (a, b), mask in pairs.items():
+        code.setdefault(a, {})[b] = c = (a - 1) * r + b - 1
+        masks[c] = mask
+    return code, masks, full
+
+
+# on at most 16 sides the code of (a, b) is the OR of a translated by _HI
+# and b translated by _LO
+_HI = bytes((x - 1) % 16 * 16 for x in range(256))
+_LO = bytes((x - 1) % 16 for x in range(256))
+_BYTES = bytes(range(256))
 
 
 def _word_codes(m, n, word):
-    """Codes of the word's transitions and the AND of their masks; (None, 0)
-    if one is in no T_i or a lone letter is no side.  Dicts, unlike lists,
-    do not wrap a letter -1."""
-    code, masks, full = _sector_masks(m, n)
+    """Codes of the word's transitions (_sector_masks), or None if a letter
+    is no side or, in a list, a transition is in no T_i.
+
+    This is the one choice of coding.  On a surface of at most 16 sides a
+    word that bytes() takes is coded in bytes, by C-level translates in
+    place of a lookup per letter; letters 0 and 17..255 are no side.  Any
+    other word is coded in a list by the dicts of _sector_masks, which,
+    unlike a list or bytes, do not wrap a letter -1.
+    """
+    code = _sector_masks(m, n)[0]
+    if n * (m - 1) <= 16:
+        try:
+            w = bytes(word)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if w.translate(None, _BYTES[1:n * (m - 1) + 1]):
+                return None
+            a, b = w[:-1].translate(_HI), w[1:].translate(_LO)
+            return (int.from_bytes(a, "big")
+                    | int.from_bytes(b, "big")).to_bytes(len(a), "big")
     if len(word) == 1 and word[0] not in code:
-        return None, 0
+        return None
     try:
-        codes = list(map(getitem, map(code.__getitem__, word[:-1]), word[1:]))
+        return list(map(getitem, map(code.__getitem__, word[:-1]), word[1:]))
     except KeyError:
-        return None, 0
-    return codes, reduce(and_, map(masks.__getitem__, set(codes)), full)
+        return None
+
+
+def _word_mask(m, n, codes):
+    """AND of the sector masks of the codes of _word_codes; 0 for None."""
+    if codes is None:
+        return 0
+    _, masks, full = _sector_masks(m, n)
+    return reduce(and_, map(masks.__getitem__, set(codes)), full)
 
 
 def admissible_in(m, n, word):
@@ -197,7 +232,7 @@ def admissible_in(m, n, word):
     distinct transitions in one table per surface (_sector_masks), built
     from the n diagrams T_i on first use.
     """
-    mask = _word_codes(m, n, list(word))[1]
+    mask = _word_mask(m, n, _word_codes(m, n, list(word)))
     return {i for i in range(2 * n) if mask >> i & 1}
 
 

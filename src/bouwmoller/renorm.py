@@ -1,10 +1,10 @@
 """Derivation, generation, substitutions, and the operators tying them together."""
 
 from functools import lru_cache
-from operator import getitem
 
-from .diagrams import (NotAdmissible, _sector_masks, _word_codes, admissible_in,
-                       arrow_alphabet, build_D0, build_Ti, sector_permutation)
+from .diagrams import (NotAdmissible, _sector_masks, _word_codes, _word_mask,
+                       admissible_in, arrow_alphabet, build_D0, build_Ti,
+                       sector_permutation)
 
 
 def derive(m, n, word, cyclic=False):
@@ -17,23 +17,19 @@ def derive(m, n, word, cyclic=False):
     if len(word) < 2:
         raise ValueError("derivation needs at least two letters")
     path = word + word[:1] if cyclic else word
-    code, steps = _sector_masks(m, n)[0], _sector_steps(m, n, 0)
-    try:  # the codes of _word_codes, without the mask
-        labels = list(map(steps.__getitem__, map(
-            getitem, map(code.__getitem__, path[:-1]), path[1:])))
-    except KeyError:
-        labels = [None]
-    if None in labels:
+    codes = _word_codes(m, n, path)
+    labels = None if codes is None else _derivative(m, n, codes, 0)
+    if labels is None:
         a, b = next((a, b) for a, b in zip(path, path[1:])
                     if 0 not in admissible_in(m, n, [a, b]))
         raise NotAdmissible(f"transition ({a}, {b}) not in T_0 of M({m},{n})")
-    return list(filter(None, labels))
+    return list(labels)
 
 
 def normalize(m, n, word):
     """Smallest admissible sector and the word mapped into T_0."""
     word = list(word)
-    mask = _word_codes(m, n, word)[1]
+    mask = _word_mask(m, n, _word_codes(m, n, word))
     if not mask:
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
     i = (mask & -mask).bit_length() - 1  # the lowest sector in the mask
@@ -56,6 +52,30 @@ def _sector_steps(m, n, i):
     return steps
 
 
+@lru_cache(maxsize=None)
+def _byte_steps(m, n, i):
+    """_sector_steps of a surface of at most 16 sides, whose codes are
+    bytes, as arguments of bytes.translate: the label of each code, the
+    codes of no label, to delete, and the codes of arrows, to delete."""
+    steps = _sector_steps(m, n, i)
+    labels = bytes(x or 0 for x in steps)
+    return (labels, bytes(c for c in range(256) if not labels[c]),
+            bytes(c for c in range(256) if steps[c] is not None))
+
+
+def _derivative(m, n, codes, i):
+    """Dual labels of the transitions of _word_codes's codes, in order,
+    normalized from sector i, or None if one is no arrow of T_i: by two
+    translates when the codes are bytes, else by one lookup each."""
+    if isinstance(codes, bytes):
+        labels, unlabeled, arrows = _byte_steps(m, n, i)
+        if codes.translate(None, arrows):
+            return None
+        return codes.translate(labels, unlabeled)
+    labels = list(map(_sector_steps(m, n, i).__getitem__, codes))
+    return None if None in labels else list(filter(None, labels))
+
+
 def derivative_sequence(m, n, word, k):
     """k-fold alternating derivation: words, their sectors, ambiguity flags.
 
@@ -75,7 +95,8 @@ def derivative_sequence(m, n, word, k):
     mm, nn = m, n
     words, sectors, ambiguous = [cur], [], []
     for t in range(k + 1):
-        codes, mask = _word_codes(mm, nn, cur)
+        codes = _word_codes(mm, nn, cur)
+        mask = _word_mask(mm, nn, codes)
         adm = [s for s in range(2 * nn) if mask >> s & 1]
         ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
         sectors.append(i := min(adm, default=None))
@@ -83,9 +104,9 @@ def derivative_sequence(m, n, word, k):
             break
         if i is None:
             raise NotAdmissible(f"word admissible in no sector of M({mm},{nn})")
-        labels = filter(None, map(_sector_steps(mm, nn, i).__getitem__, codes))
-        cur = list(labels)[::-1] if i >= nn else list(labels)
-        words.append(cur)
+        labels = _derivative(mm, nn, codes, i)
+        cur = labels[::-1] if i >= nn else labels
+        words.append(list(cur))
         mm, nn = nn, mm
     return words, sectors, ambiguous
 

@@ -249,7 +249,7 @@ def test_trace_report_schema(tmp_path):
     (("recognize", "-m", "4", "-n", "3", "--itinerary", "0,2,2", "--tol",
       "-1"), "--tol must be finite and above 0, got -1.0"),
     (("recognize", "-m", "4", "-n", "3", "--word", "99"),
-     "derivation stage 0 has ambiguous sectors, before any whole branch pair"),
+     "word admissible in no sector of M(4,3)"),
     # the renormalization gate comes before every other check
     (("derive", "-m", "2", "-n", "5", "--word", "1"),
      "renormalization needs m, n >= 3, got (2, 5)"),

@@ -9,8 +9,8 @@ import pytest
 from bouwmoller import renorm
 from bouwmoller.cli import (GOLDEN_PSUB, GOLDEN_SIGMA11_43, _contains,
                             _random_t0_word)
-from bouwmoller.diagrams import (NotAdmissible, NotChained, _word_codes,
-                                 admissible_in, sector_permutation)
+from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
+                                 build_D0, sector_permutation)
 from bouwmoller.renorm import (derivative_sequence, derive, fixed_point_form,
                                generate, normalize, pseudo_substitution,
                                substitution, tr_operator, tr_operator_inverse)
@@ -276,26 +276,57 @@ def test_generate_is_unchanged():
         "6b7604c2c6d5c4f6c84669b8b14f5ea64b1a209a7a90b85477dd63b0db38454f")
 
 
+def _check_derivations(m, n, rng):
+    """derive and one stage of derivative_sequence, on seeded words of every
+    normalizing sector of M(m,n) spelled in ints and in floats, against a
+    plain loop over the pairs of the word normalized by sector_permutation:
+    the D_0 label of each labeled arrow, in order."""
+    d0 = build_D0(m, n)
+    labels = d0.arrow_labels
+
+    def reference(word, j):
+        perm = sector_permutation(m, n, j % n)
+        u = [perm[x] for x in (word[::-1] if j >= n else word)]
+        assert all(pair in d0.arrows for pair in zip(u, u[1:]))
+        return [labels[pair] for pair in zip(u, u[1:]) if pair in labels]
+
+    for i in _normalizing_sectors(m, n):
+        inv = {v: k for k, v in sector_permutation(m, n, i % n).items()}
+        for _ in range(4):
+            u = _random_t0_word(m, n, rng, rng.randrange(2, 40))
+            word = [inv[x] for x in (u[::-1] if i >= n else u)]
+            for spell in (int, float):
+                assert derive(m, n, list(map(spell, u))) == reference(u, 0)
+                words, sectors, _ = derivative_sequence(
+                    m, n, list(map(spell, word)), 1)
+                assert words[1] == reference(word, sectors[0])
+
+
 def test_sector_steps_derive_the_normalized_word():
-    # one lookup per transition code of a sector-i word is
-    # derive(normalize(word))
+    # on both codings: bytes for n(m-1) <= 16 and int letters, the dict
+    # codes for floats and for the larger surfaces
     rng = random.Random(6007)
     for m in range(2, 10):
         for n in range(3, 10):
-            for i in _normalizing_sectors(m, n):
-                perm = sector_permutation(m, n, i % n)
-                inv = {v: k for k, v in perm.items()}
-                steps = renorm._sector_steps(m, n, i)
-                for _ in range(4):
-                    u = _random_t0_word(m, n, rng, rng.randrange(2, 40))
-                    word = [inv[x] for x in (u[::-1] if i >= n else u)]
-                    codes, _ = _word_codes(m, n, word)
-                    got = [x for x in map(steps.__getitem__, codes) if x]
-                    if i >= n:
-                        got.reverse()
-                    assert got == derive(m, n, u)
-                    if normalize(m, n, word)[0] == i:
-                        assert got == derive(m, n, normalize(m, n, word)[1])
+            _check_derivations(m, n, rng)
+
+
+def test_a_swapped_byte_label_fails_the_derivation_reference(monkeypatch):
+    real = renorm._byte_steps
+
+    def swapped(m, n, i):
+        labels, *deletes = real(m, n, i)
+        if (m, n, i) != (4, 3, 0):
+            return (labels, *deletes)
+        t = bytearray(labels)
+        a = next(k for k in range(256) if t[k])
+        b = next(k for k in range(256) if t[k] not in (0, t[a]))
+        t[a], t[b] = t[b], t[a]
+        return (bytes(t), *deletes)
+
+    monkeypatch.setattr(renorm, "_byte_steps", swapped)
+    with pytest.raises(AssertionError):
+        _check_derivations(4, 3, random.Random(6007))
 
 
 def test_code_table_edges_are_unchanged():
