@@ -192,9 +192,9 @@ def _word_codes(m, n, word):
 
     This is the one choice of coding.  On a surface of at most 16 sides a
     word that bytes() takes is coded in bytes, by C-level translates in
-    place of a lookup per letter; letters 0 and 17..255 are no side.  Any
-    other word is coded in a list by the dicts of _sector_masks, which,
-    unlike a list or bytes, do not wrap a letter -1.
+    place of a lookup per letter; letters 0 and n(m-1)+1..255 are no
+    side.  Any other word is coded in a list by the dicts of _sector_masks,
+    which, unlike a list or bytes, do not wrap a letter -1.
     """
     code = _sector_masks(m, n)[0]
     if n * (m - 1) <= 16:
