@@ -330,14 +330,14 @@ def test_a_swapped_byte_label_fails_the_derivation_reference(monkeypatch):
 
 
 def test_code_table_edges_are_unchanged():
-    # admissible_in, derive (open and cyclic) and derivative_sequence, as
-    # the result or the exception's class and message, to the last bit, on
-    # seeded words of every normalizing sector with a letter that is no
-    # side (0, -1, n(m-1)+1, 255 or 256) or a 1 spelled 1.0 or True put
-    # first, in the middle or last, on the whole word spelled in floats,
-    # and on one-letter and empty words, for 3 <= m, n <= 7 and for M(3,8)
-    # and M(8,3), one on each side of 16 sides with its dual on the other;
-    # a one-letter word whose letter is no side is admissible nowhere
+    # admissible_in, derive (open and cyclic), derivative_sequence and
+    # normalize, as the result or the exception's class and message, to the
+    # last bit, on seeded words of every normalizing sector with a letter
+    # that is no side (0, -1, n(m-1)+1, 255 or 256) or a 1 spelled 1.0 or
+    # True put first, in the middle or last, on the whole word spelled in
+    # floats, and on one-letter and empty words, for 3 <= m, n <= 7 and for
+    # M(3,8) and M(8,3), one on each side of 16 sides with its dual on the
+    # other; a one-letter word whose letter is no side is admissible nowhere
     digest = hashlib.sha256()
     rng = random.Random(1717)
     surfaces = [(m, n) for m in range(3, 8) for n in range(3, 8)]
@@ -358,7 +358,8 @@ def test_code_table_edges_are_unchanged():
             for out in (_outcome(admissible_in, m, n, word),
                         _outcome(derive, m, n, word),
                         _outcome(derive, m, n, word, True),
-                        _outcome(derivative_sequence, m, n, word, 3)):
+                        _outcome(derivative_sequence, m, n, word, 3),
+                        _outcome(normalize, m, n, word)):
                 digest.update(repr(out).encode())
     assert digest.hexdigest() == (
-        "fc6e75570ee548902f0e9ceeff45594eef3192454054fde3079f6652261765c1")
+        "fe67d7be7963cfc353d25bae6f8e884ad97ff7308c68c1dfa385e268ffe084af")
