@@ -1,7 +1,8 @@
 """Transition and derivation diagrams, sector permutations, admissibility."""
 
-from functools import lru_cache, reduce
-from operator import and_, getitem
+from collections import namedtuple
+from functools import lru_cache
+from operator import getitem
 
 from .surface import _dumps, side_seats
 
@@ -152,21 +153,31 @@ def sector_permutation(m, n, i):
     return min(candidates, key=lambda p: [p[s] for s in labels])
 
 
+class _Table(namedtuple("_Table", "code masks full arrows sides perms")):
+    """The transition table of M(m,n) that admissibility, derivation and
+    normalization read, one per surface (_table)."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=None)
-def _sector_masks(m, n):
-    """Transition table of M(m,n): (code, masks, full).  code[a][b] is the
-    code (a-1)*r + b-1, r = max(16, n(m-1)), of each transition (a, b) that
-    some T_i has, either way round: one byte on at most 16 sides.  Bit i of
+def _table(m, n):
+    """Transition table of M(m,n).  code[a][b] is the code (a-1)*r + b-1,
+    r = max(16, n(m-1)), of each transition (a, b) that some T_i has,
+    either way round: one byte on at most 16 sides.  Bit i of
     masks[code[a][b]] is set when T_i has the arrow (a, b), and bit i + n
     when it has (b, a), so that T_i admits the reversed word; the masks of
     the other codes are 0.  full is the mask of every sector with a
-    reflecting normalization."""
-    pairs, full = {}, 0
+    reflecting normalization, arrows the codes whose mask is not 0 (bytes
+    on at most 16 sides), sides the sides as bytes, to delete, on at most
+    16 sides (else None), and perms[i] sector i's permutation (i % n)."""
+    pairs, full, perms = {}, 0, [None] * n
     for i in range(n):
         try:
             arrows = build_Ti(m, n, i).arrows
         except ValueError:
             continue
+        perms[i] = sector_permutation(m, n, i)
         full |= 1 << i | 1 << (i + n)
         for a, b in arrows:
             pairs[(a, b)] = pairs.get((a, b), 0) | 1 << i
@@ -176,38 +187,41 @@ def _sector_masks(m, n):
     for (a, b), mask in pairs.items():
         code.setdefault(a, {})[b] = c = (a - 1) * r + b - 1
         masks[c] = mask
-    return code, masks, full
+    arrows = sorted(code[a][b] for a, b in pairs)
+    small = r == 16
+    return _Table(code, masks, full, bytes(arrows) if small else tuple(arrows),
+                  _BYTES[1:n * (m - 1) + 1] if small else None, tuple(perms * 2))
 
 
-# on at most 16 sides the code of (a, b) is the OR of a translated by _HI
-# and b translated by _LO
-_HI = bytes((x - 1) % 16 * 16 for x in range(256))
+# on at most 16 sides a side x translated by _LO is the nibble x - 1
 _LO = bytes((x - 1) % 16 for x in range(256))
 _BYTES = bytes(range(256))
 
 
-def _word_codes(m, n, word):
-    """Codes of the word's transitions (_sector_masks), or None if a letter
-    is no side or, in a list, a transition is in no T_i.
+def _word_codes(t, word):
+    """Codes of the word's transitions in table t, or None if a letter is
+    no side or, in a list, a transition is in no T_i.
 
     This is the one choice of coding.  On a surface of at most 16 sides a
     word that bytes() takes is coded in bytes, by C-level translates in
     place of a lookup per letter; letters 0 and n(m-1)+1..255 are no
-    side.  Any other word is coded in a list by the dicts of _sector_masks,
+    side.  Any other word is coded in a list by the dicts of the table,
     which, unlike a list or bytes, do not wrap a letter -1.
     """
-    code = _sector_masks(m, n)[0]
-    if n * (m - 1) <= 16:
+    if t.sides is not None:
         try:
             w = bytes(word)
         except (TypeError, ValueError):
             pass
         else:
-            if w.translate(None, _BYTES[1:n * (m - 1) + 1]):
+            if w.translate(None, t.sides):
                 return None
-            a, b = w[:-1].translate(_HI), w[1:].translate(_LO)
-            return (int.from_bytes(a, "big")
-                    | int.from_bytes(b, "big")).to_bytes(len(a), "big")
+            # in the integer of the word's nibbles, each byte ORed with the
+            # next one's shifted four bits up is the code (a-1)*16 + b-1 of
+            # a transition (a, b); the first byte is no transition
+            x = int.from_bytes(w.translate(_LO), "big")
+            return (x >> 4 | x).to_bytes(len(w), "big")[1:]
+    code = t.code
     if len(word) == 1 and word[0] not in code:
         return None
     try:
@@ -216,12 +230,24 @@ def _word_codes(m, n, word):
         return None
 
 
-def _word_mask(m, n, codes):
-    """AND of the sector masks of the codes of _word_codes; 0 for None."""
+def _word_mask(t, codes):
+    """AND of the sector masks in table t of the codes of _word_codes; 0
+    for None.  A word with more codes than t has arrows is read per arrow:
+    bytes must hold nothing but arrows, and each arrow is looked for with
+    `in`, a C-level scan; a list is cut to its distinct codes."""
     if codes is None:
         return 0
-    _, masks, full = _sector_masks(m, n)
-    return reduce(and_, map(masks.__getitem__, set(codes)), full)
+    if len(codes) > len(t.arrows):
+        if not isinstance(codes, bytes):
+            codes = set(codes)
+        elif codes.translate(None, t.arrows):
+            return 0
+        else:
+            codes = [c for c in t.arrows if c in codes]
+    mask, masks = t.full, t.masks
+    for c in codes:
+        mask &= masks[c]
+    return mask
 
 
 def admissible_in(m, n, word):
@@ -229,10 +255,11 @@ def admissible_in(m, n, word):
 
     Sectors with no reflecting normalization (see sector_permutation) are
     omitted.  The answer is the AND of the sector masks of the word's
-    distinct transitions in one table per surface (_sector_masks), built
+    distinct transitions in one table per surface (_table), built
     from the n diagrams T_i on first use.
     """
-    mask = _word_mask(m, n, _word_codes(m, n, list(word)))
+    t = _table(m, n)
+    mask = _word_mask(t, _word_codes(t, list(word)))
     return {i for i in range(2 * n) if mask >> i & 1}
 
 

@@ -5,7 +5,6 @@ Matrices are tuples of row tuples, applied as a0*x + a1*y on every machine."""
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import islice
 
 from .tracer import sector_of
 
@@ -83,45 +82,55 @@ def _angle(v):
 
 @lru_cache(maxsize=None)
 def _step_data(m, n):
-    """gamma, pi/m, pi/(2m), m - 1 and reflection(n, m, a) at index a."""
-    return (gamma(m, n), math.pi / m, 0.5 * math.pi / m, m - 1,
-            tuple(reflection(n, m, a) for a in range(m)))
+    """The entries of gamma(m, n), pi/m, pi/(2m), and the half-step's sector
+    table: at each quotient psi // (pi/m) that an angle psi in [pi/(2m),
+    pi + pi/(2m)) has, as a float, the sector a it gives, clamped to
+    1..m-1, the entries of reflection(n, m, a), and the bounds a pi/m and
+    (a+1) pi/m of sector a."""
+    (g0, g1), (h0, h1) = gamma(m, n)
+    step = math.pi / m
+    sectors = {}
+    for q in range(m + 1):
+        a = min(max(q, 1), m - 1)
+        (r0, r1), (s0, s1) = reflection(n, m, a)
+        sectors[float(q)] = a, r0, r1, s0, s1, a * step, (a + 1) * step
+    return g0, g1, h0, h1, step, 0.5 * step, sectors
 
 
-def _orbit(m, n, v, tol):
-    """Renormalization steps from a direction vector, alternately from M(m,n)
-    and M(n,m), with the arithmetic of _apply and _upper: gamma v has angle
-    psi in sector a of the dual, [a pi/m, (a+1) pi/m] (psi < pi/(2m) wraps
-    past pi), and reflection(n, m, a) takes it to the standard sector.
-    Yields (a, normalized image, whether psi is within tol of a bound of a)."""
+def _orbit(m, n, v, tol, count):
+    """The first count renormalization steps from a direction vector,
+    alternately from M(m,n) and M(n,m), with the arithmetic of _apply and
+    _upper: gamma v has angle psi in sector a of the dual, [a pi/m,
+    (a+1) pi/m] (psi < pi/(2m) wraps past pi), and reflection(n, m, a)
+    takes it to the standard sector.  Returns a list of (a, normalized
+    image, whether psi is within tol of a bound of a)."""
     atan2, hypot, pi = math.atan2, math.hypot, math.pi
     x, y = v
     both = _step_data(m, n), _step_data(n, m)
-    while True:
-        for ((g0, g1), (h0, h1)), step, half, last, refl in both:
-            x, y = g0 * x + g1 * y, h0 * x + h1 * y
-            if y < 0 or (y == 0 and x < 0):
-                x, y = -x, -y
-            psi = atan2(y, x)
-            if psi < half:
-                psi += pi
-            a = int(psi // step)  # clamped by comparisons, cheaper than min, max
-            a = 1 if a < 1 else last if a > last else a
-            on_boundary = abs(psi - a * step) < tol or abs(psi - (a + 1) * step) < tol
-            (g0, g1), (h0, h1) = refl[a]
-            x, y = g0 * x + g1 * y, h0 * x + h1 * y
-            if y < 0 or (y == 0 and x < 0):
-                x, y = -x, -y
-            r = hypot(x, y)
-            x, y = x / r, y / r
-            yield a, (x, y), on_boundary
+    steps = []
+    for t in range(count):
+        g0, g1, h0, h1, step, half, sectors = both[t & 1]
+        x, y = g0 * x + g1 * y, h0 * x + h1 * y
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        psi = atan2(y, x)
+        if psi < half:
+            psi += pi
+        a, g0, g1, h0, h1, lo, hi = sectors[psi // step]
+        x, y = g0 * x + g1 * y, h0 * x + h1 * y
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        r = hypot(x, y)
+        x, y = x / r, y / r
+        steps.append((a, (x, y), -tol < psi - lo < tol or -tol < psi - hi < tol))
+    return steps
 
 
 def farey_F(m, n, theta):
     """Normalized projective step in angle coordinates: (dual sector, angle)."""
     if not -EPS_DYN <= theta <= math.pi / n + EPS_DYN:
         raise DomainError(f"theta {theta} outside [0, pi/{n}]")
-    a, out, _ = next(_orbit(m, n, (math.cos(theta), math.sin(theta)), 0.0))
+    [(a, out, _)] = _orbit(m, n, (math.cos(theta), math.sin(theta)), 0.0, 1)
     psi = _angle(out)
     if psi > 0.5 * math.pi:
         psi = max(0.0, psi - math.pi)
@@ -158,8 +167,11 @@ def _branch_matrix(m, n, a, b):
 
 
 @lru_cache(maxsize=None)
-def _branch_adj(m, n, a, b):
-    return _adj(_branch_matrix(m, n, a, b))
+def _inverse_branches(m, n):
+    """Entries (p, q, r, s) of the adjugate of the branch matrix of each
+    branch pair (a, b), at [a][b]."""
+    return (None, *((None, *(sum(_adj(_branch_matrix(m, n, a, b)), ())
+                                for b in range(1, n))) for a in range(1, m)))
 
 
 def ff_branches(m, n):
@@ -202,13 +214,10 @@ def itinerary(m, n, theta, k):
     v = (math.cos(theta), math.sin(theta))
     # Sector n is sector 0 traversed backwards (see renorm.normalize).
     v = _upper(_apply(reflection(m, n, 0 if b0 == n else b0), v))
-    orbit = _orbit(m, n, v, EPS_DYN)
-    pairs = []
-    for (a, _, bad_a), (b, _, bad_b) in islice(zip(orbit, orbit), k):
-        if bad_a or bad_b:
-            raise BoundaryOrbit("orbit within quarantine band of a boundary")
-        pairs.append((a, b))
-    return Itinerary(b0, tuple(pairs))
+    branches, _, bad = zip(*_orbit(m, n, v, EPS_DYN, 2 * k))
+    if any(bad):
+        raise BoundaryOrbit("orbit within quarantine band of a boundary")
+    return Itinerary(b0, tuple(zip(branches[::2], branches[1::2])))
 
 
 def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
@@ -228,18 +237,30 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
         raise ValueError(f"b0 {b0!r} is no int")
     if not 0 <= b0 <= 2 * n - 1:
         raise ValueError(f"b0 {b0} out of range 0..{2 * n - 1}")
-    for a, b in pairs:
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise ValueError(f"branch pair ({a!r}, {b!r}) is no pair of ints")
-        if not (1 <= a <= m - 1 and 1 <= b <= n - 1):
-            raise ValueError(f"branch pair ({a}, {b}) out of range")
+    table = _inverse_branches(m, n)
     e1 = (math.cos(math.pi / n), math.sin(math.pi / n))
     t0, t1, u0, u1 = 1.0, 0.0, 0.0, 1.0
-    for a, b in pairs:  # _mul by the adjugate, scaled to max entry 1
-        (p, q), (r, s) = _branch_adj(m, n, a, b)
+    for pair in pairs:
+        try:
+            a, b = pair
+        except ValueError:
+            raise ValueError(f"branch pair {pair!r} is no pair of ints") from None
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError(f"branch pair ({a!r}, {b!r}) is no pair of ints")
+        if not (0 < a < m and 0 < b < n):
+            raise ValueError(f"branch pair ({a}, {b}) out of range")
+        # _mul by the adjugate, scaled to max entry 1: the largest absolute
+        # entry, the first of equals, as max() finds it, without the call
+        p, q, r, s = table[a][b]
         x0, x1 = t0 * p + t1 * r, t0 * q + t1 * s
         y0, y1 = u0 * p + u1 * r, u0 * q + u1 * s
-        top = max(abs(x0), abs(x1), abs(y0), abs(y1))
+        top = abs(x0)
+        if abs(x1) > top:
+            top = abs(x1)
+        if abs(y0) > top:
+            top = abs(y0)
+        if abs(y1) > top:
+            top = abs(y1)
         t0, t1, u0, u1 = x0 / top, x1 / top, y0 / top, y1 / top
     mat = (t0, t1), (u0, u1)
     lo, hi = sorted((_angle(_apply(mat, (1.0, 0.0))), _angle(_apply(mat, e1))))

@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from .diagrams import (NotAdmissible, _sector_masks, _word_codes, _word_mask,
+from .diagrams import (NotAdmissible, _table, _word_codes, _word_mask,
                        admissible_in, arrow_alphabet, build_D0, build_Ti,
                        sector_permutation)
 
@@ -17,7 +17,7 @@ def derive(m, n, word, cyclic=False):
     if len(word) < 2:
         raise ValueError("derivation needs at least two letters")
     path = word + word[:1] if cyclic else word
-    codes = _word_codes(m, n, path)
+    codes = _word_codes(_table(m, n), path)
     labels = None if codes is None else _derivative(m, n, codes, 0)
     if labels is None:
         a, b = next((a, b) for a, b in zip(path, path[1:])
@@ -29,12 +29,12 @@ def derive(m, n, word, cyclic=False):
 def normalize(m, n, word):
     """Smallest admissible sector and the word mapped into T_0."""
     word = list(word)
-    mask = _word_mask(m, n, _word_codes(m, n, word))
+    t = _table(m, n)
+    mask = _word_mask(t, _word_codes(t, word))
     if not mask:
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
     i = (mask & -mask).bit_length() - 1  # the lowest sector in the mask
-    perm = sector_permutation(m, n, i % n)
-    return i, [perm[x] for x in (word[::-1] if i >= n else word)]
+    return i, list(map(t.perms[i].__getitem__, word[::-1] if i >= n else word))
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +44,7 @@ def _sector_steps(m, n, i):
     word, so each arrow is coded reversed and the labels come out reversed."""
     d0 = build_D0(m, n)
     inv = {y: x for x, y in sector_permutation(m, n, i % n).items()}
-    code, masks, _ = _sector_masks(m, n)
+    code, masks = _table(m, n)[:2]
     steps = [None] * len(masks)
     for a, b in d0.arrows:
         x, y = (inv[b], inv[a]) if i >= n else (inv[a], inv[b])
@@ -55,23 +55,21 @@ def _sector_steps(m, n, i):
 @lru_cache(maxsize=None)
 def _byte_steps(m, n, i):
     """_sector_steps of a surface of at most 16 sides, whose codes are
-    bytes, as arguments of bytes.translate: the label of each code, the
-    codes of no label, to delete, and the codes of arrows, to delete."""
+    bytes, as arguments of bytes.translate: the label of each code, 0 for
+    no arrow, and the codes of the arrows with no label, to delete."""
     steps = _sector_steps(m, n, i)
-    labels = bytes(x or 0 for x in steps)
-    return (labels, bytes(c for c in range(256) if not labels[c]),
-            bytes(c for c in range(256) if steps[c] is not None))
+    return (bytes(x or 0 for x in steps),
+            bytes(c for c in range(256) if steps[c] == 0))
 
 
 def _derivative(m, n, codes, i):
     """Dual labels of the transitions of _word_codes's codes, in order,
-    normalized from sector i, or None if one is no arrow of T_i: by two
-    translates when the codes are bytes, else by one lookup each."""
+    normalized from sector i, or None if one is no arrow of T_i: by one
+    translate when the codes are bytes, which leaves a 0 for each code that
+    is no arrow, else by one lookup each."""
     if isinstance(codes, bytes):
-        labels, unlabeled, arrows = _byte_steps(m, n, i)
-        if codes.translate(None, arrows):
-            return None
-        return codes.translate(labels, unlabeled)
+        labels = codes.translate(*_byte_steps(m, n, i))
+        return None if 0 in labels else labels
     labels = list(map(_sector_steps(m, n, i).__getitem__, codes))
     return None if None in labels else list(filter(None, labels))
 
@@ -87,16 +85,19 @@ def derivative_sequence(m, n, word, k):
     sectors for the input word, whose direction may point anywhere, and
     among the upward sectors for its derivatives.  A word of fewer than
     two letters has no derivative, so the sequence stops there, with fewer
-    than k+1 stages.  Raises ValueError for k < 0.
+    than k+1 stages.  Raises ValueError for a k that is no int or below 0.
     """
+    if not isinstance(k, int):
+        raise ValueError(f"need an int k >= 0, got {k!r}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     cur = list(word)
     mm, nn = m, n
     words, sectors, ambiguous = [cur], [], []
     for t in range(k + 1):
-        codes = _word_codes(mm, nn, cur)
-        mask = _word_mask(mm, nn, codes)
+        table = _table(mm, nn)
+        codes = _word_codes(table, cur)
+        mask = _word_mask(table, codes)
         adm = [s for s in range(2 * nn) if mask >> s & 1]
         ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
         sectors.append(i := min(adm, default=None))
@@ -152,18 +153,21 @@ def generation_diagram(m, n, i):
 
 @lru_cache(maxsize=None)
 def _generation_steps(m, n, i):
-    """generate in sector i as one table: T_0 transition (x, y) of M(n,m) ->
-    (tail of A, vertices, head of B) for the value (A, B, vertices) of its
-    image in generation_diagram(n, m, i).  The paths must chain: at each
-    letter, the B of every arrow in and the A of every arrow out agree."""
+    """generate in sector i as one nested table: steps[x][y] of a T_0
+    transition (x, y) of M(n,m) is (tail of A, vertices, head of B) for the
+    value (A, B, vertices) of its image in generation_diagram(n, m, i).
+    The paths must chain: at each letter, the B of every arrow in and the
+    A of every arrow out agree."""
     gd = generation_diagram(n, m, i)
     inv = {y: x for x, y in sector_permutation(n, m, i).items()}
     seam = {}
     for (x, y), (a_arr, b_arr, _) in gd.items():
         if seam.setdefault(y, b_arr) != b_arr or seam.setdefault(x, a_arr) != a_arr:
             raise RuntimeError("interpolating paths do not chain")
-    return {(inv[x], inv[y]): (a_arr[0], tuple(path), b_arr[1])
-            for (x, y), (a_arr, b_arr, path) in gd.items()}
+    steps = {}
+    for (x, y), (a_arr, b_arr, path) in gd.items():
+        steps.setdefault(inv[x], {})[inv[y]] = (a_arr[0], tuple(path), b_arr[1])
+    return steps
 
 
 def generate(m, n, i, word):
@@ -177,22 +181,28 @@ def generate(m, n, i, word):
     if len(word) < 2:
         raise ValueError("generation needs at least two letters")
     # a sector out of range is reported below, after letters that are no side
-    steps = _generation_steps(m, n, i) if 1 <= i < m else {}
-    rows = list(map(steps.get, zip(word, word[1:])))
-    if None in rows:
+    steps = _generation_steps(m, n, i) if isinstance(i, int) and 1 <= i < m else {}
+    try:
+        out = [steps[word[0]][word[1]][0]]
+        for a, b in zip(word, word[1:]):
+            _, path, head = steps[a][b]
+            out += path
+    except KeyError:
+        out = None
+    if out is None:
         sides = sector_permutation(n, m, 0)
         for x in word:
             if x not in sides:
                 raise NotAdmissible(f"{x} is not a side of M({n},{m})")
+        if not isinstance(i, int):
+            raise ValueError(f"sector {i!r} is no int")
         generation_diagram(n, m, i)  # raises for a sector out of 1..m-1
         perm = sector_permutation(n, m, i)
-        a, b = word[rows.index(None)], word[rows.index(None) + 1]
+        a, b = next((a, b) for a, b in zip(word, word[1:])
+                    if b not in steps.get(a, ()))
         raise NotAdmissible(f"transition ({perm[a]}, {perm[b]}) "
                             f"not in T_{i} of M({n},{m})")
-    out = [rows[0][0]]
-    for _, path, _ in rows:
-        out += path
-    out.append(rows[-1][2])
+    out.append(head)
     return out
 
 
@@ -206,8 +216,8 @@ def pseudo_substitution(m, n, i):
     steps = _generation_steps(n, m, i)
     dst = arrow_alphabet(n, m).name_of_arrow
     out = {}
-    for name, arrow in arrow_alphabet(m, n).arrow_of_name.items():
-        tail, path, _ = steps[arrow]
+    for name, (x, y) in arrow_alphabet(m, n).arrow_of_name.items():
+        tail, path, _ = steps[x][y]
         out[name] = [dst[uv] for uv in zip((tail, *path), path)]
     return out
 
