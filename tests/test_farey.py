@@ -192,8 +192,13 @@ def test_direction_recovery_validates_input():
      "b0 0.5 is no int"),
     (lambda: direction_from_itinerary(4, 3, 0, [(1.5, 1)] * 25),
      r"branch pair \(1.5, 1\) is no pair of ints"),
+    (lambda: direction_from_itinerary(4, 3, 0, [[1, 1, 1]], tol=1e-6),
+     r"branch pair \(1, 1, 1\) is no pair of ints"),
+    (lambda: direction_from_itinerary(4, 3, 0, [(1,)], tol=1e-6),
+     r"branch pair \(1,\) is no pair of ints"),
     (lambda: itinerary(4, 3, 0.3, 2.5), "need an int k >= 1, got 2.5"),
-], ids=["tol-nan", "tol-negative", "b0-float", "pair-float", "depth-float"])
+], ids=["tol-nan", "tol-negative", "b0-float", "pair-float", "pair-triple",
+        "pair-single", "depth-float"])
 def test_bad_numeric_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -42,6 +42,11 @@ def test_derive_rejects_bad_input():
 def test_generate_rejects_unknown_sides():
     with pytest.raises(NotAdmissible, match="9 is not a side of M\\(3,4\\)"):
         generate(4, 3, 1, [1, 9])
+    # a sector that is no int is reported where one out of range is
+    with pytest.raises(ValueError, match=r"^sector 1\.0 is no int$"):
+        generate(4, 3, 1.0, [1, 2])
+    with pytest.raises(NotAdmissible, match="9 is not a side of M\\(3,4\\)"):
+        generate(4, 3, 1.0, [1, 9])
 
 
 def test_generate_checks_that_paths_chain(monkeypatch):
@@ -117,6 +122,8 @@ def test_a_letter_that_is_no_side_is_admissible_nowhere():
 def test_derivative_sequence_rejects_a_negative_depth():
     with pytest.raises(ValueError, match="need k >= 0, got -1"):
         derivative_sequence(4, 3, [1, 6, 7, 8], -1)
+    with pytest.raises(ValueError, match=r"^need an int k >= 0, got 2\.5$"):
+        derivative_sequence(4, 3, [1, 2, 3], 2.5)
     assert derivative_sequence(4, 3, [1, 6, 7, 8], 0) == (
         [[1, 6, 7, 8]], [0], [False])
 
