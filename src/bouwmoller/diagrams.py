@@ -153,24 +153,22 @@ def sector_permutation(m, n, i):
     return min(candidates, key=lambda p: [p[s] for s in labels])
 
 
-class _Table(namedtuple("_Table", "code masks full arrows sides perms")):
-    """The transition table of M(m,n) that admissibility, derivation and
-    normalization read, one per surface (_table)."""
-
-    __slots__ = ()
+_Table = namedtuple("_Table", "code masks full arrows sides perms")
 
 
 @lru_cache(maxsize=None)
 def _table(m, n):
-    """Transition table of M(m,n).  code[a][b] is the code (a-1)*r + b-1,
-    r = max(16, n(m-1)), of each transition (a, b) that some T_i has,
-    either way round: one byte on at most 16 sides.  Bit i of
-    masks[code[a][b]] is set when T_i has the arrow (a, b), and bit i + n
-    when it has (b, a), so that T_i admits the reversed word; the masks of
-    the other codes are 0.  full is the mask of every sector with a
-    reflecting normalization, arrows the codes whose mask is not 0 (bytes
-    on at most 16 sides), sides the sides as bytes, to delete, on at most
-    16 sides (else None), and perms[i] sector i's permutation (i % n)."""
+    """Transition table of M(m,n), the one record per surface that
+    admissibility, derivation and normalization read.  code[a][b] is the
+    code (a-1)*r + b-1, r = max(16, n(m-1)), of each transition (a, b)
+    that some T_i has, either way round: one byte on at most 16 sides.
+    Bit i of masks[code[a][b]] is set when T_i has the arrow (a, b), and
+    bit i + n when it has (b, a), so that T_i admits the reversed word; the
+    masks of the other codes are 0.  full is the mask of every sector with
+    a reflecting normalization, arrows the codes whose mask is not 0, and
+    perms[i] the permutation of sector i % n, for 0 <= i < 2n.  On at most
+    16 sides arrows is bytes and sides holds the sides as bytes, to
+    delete; on more, sides is None."""
     pairs, full, perms = {}, 0, [None] * n
     for i in range(n):
         try:
@@ -188,9 +186,10 @@ def _table(m, n):
         code.setdefault(a, {})[b] = c = (a - 1) * r + b - 1
         masks[c] = mask
     arrows = sorted(code[a][b] for a, b in pairs)
-    small = r == 16
-    return _Table(code, masks, full, bytes(arrows) if small else tuple(arrows),
-                  _BYTES[1:n * (m - 1) + 1] if small else None, tuple(perms * 2))
+    if r == 16:
+        return _Table(code, masks, full, bytes(arrows), _BYTES[1:n * (m - 1) + 1],
+                      tuple(perms * 2))
+    return _Table(code, masks, full, tuple(arrows), None, tuple(perms * 2))
 
 
 # on at most 16 sides a side x translated by _LO is the nibble x - 1

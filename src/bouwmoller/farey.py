@@ -111,14 +111,14 @@ def _orbit(m, n, v, tol, count):
     for t in range(count):
         g0, g1, h0, h1, step, half, sectors = both[t & 1]
         x, y = g0 * x + g1 * y, h0 * x + h1 * y
-        if y < 0 or (y == 0 and x < 0):
+        if y <= 0 and (y < 0 or x < 0):  # _upper, one test when y > 0
             x, y = -x, -y
         psi = atan2(y, x)
         if psi < half:
             psi += pi
         a, g0, g1, h0, h1, lo, hi = sectors[psi // step]
         x, y = g0 * x + g1 * y, h0 * x + h1 * y
-        if y < 0 or (y == 0 and x < 0):
+        if y <= 0 and (y < 0 or x < 0):
             x, y = -x, -y
         r = hypot(x, y)
         x, y = x / r, y / r
@@ -169,9 +169,9 @@ def _branch_matrix(m, n, a, b):
 @lru_cache(maxsize=None)
 def _inverse_branches(m, n):
     """Entries (p, q, r, s) of the adjugate of the branch matrix of each
-    branch pair (a, b), at [a][b]."""
-    return (None, *((None, *(sum(_adj(_branch_matrix(m, n, a, b)), ())
-                                for b in range(1, n))) for a in range(1, m)))
+    branch pair (a, b), at [a][b]; index 0 is no branch."""
+    return tuple(tuple(sum(_adj(_branch_matrix(m, n, a, b)), ()) if a and b else None
+                       for b in range(n)) for a in range(m))
 
 
 def ff_branches(m, n):
@@ -249,8 +249,8 @@ def direction_from_itinerary(m, n, b0, pairs, tol=1e-9):
             raise ValueError(f"branch pair ({a!r}, {b!r}) is no pair of ints")
         if not (0 < a < m and 0 < b < n):
             raise ValueError(f"branch pair ({a}, {b}) out of range")
-        # _mul by the adjugate, scaled to max entry 1: the largest absolute
-        # entry, the first of equals, as max() finds it, without the call
+        # _mul by the adjugate, scaled by the largest absolute entry, found
+        # as max() finds it, without the call
         p, q, r, s = table[a][b]
         x0, x1 = t0 * p + t1 * r, t0 * q + t1 * s
         y0, y1 = u0 * p + u1 * r, u0 * q + u1 * s
