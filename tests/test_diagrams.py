@@ -57,16 +57,22 @@ def test_sector_permutations_match_frozen_tables():
 
 
 def test_sector_permutations_are_involutions():
-    for m, n in SMALL:
-        count = n * (m - 1)
-        for i in range(n):
-            perm = sector_permutation(m, n, i)
-            assert sorted(perm[k] for k in range(1, count + 1)) == \
-                list(range(1, count + 1))
-            for k in range(1, count + 1):
-                assert perm[perm[k]] == k
-        assert all(sector_permutation(m, n, 0)[k] == k
-                   for k in range(1, count + 1))
+    # the derivation and generation tables use each permutation as its own
+    # inverse, so every one that exists must be: 3 960 of them
+    found = 0
+    for m in range(2, 13):
+        for n in range(3, 21):
+            labels = list(range(1, n * (m - 1) + 1))
+            assert [sector_permutation(m, n, 0)[k] for k in labels] == labels
+            for i in range(2 * n):
+                try:
+                    perm = sector_permutation(m, n, i)
+                except ValueError:
+                    continue
+                assert sorted(perm) == sorted(perm.values()) == labels
+                assert [perm[perm[k]] for k in labels] == labels
+                found += 1
+    assert found == 3960
 
 
 def test_permuted_grid_rows_are_the_sector_grid():
