@@ -4,10 +4,10 @@ __version__ = "0.1.0"
 
 from .surface import NonPositiveShape, Polygon, Surface, build_surface
 from .hooper import HooperDiagram, build_hooper, heights, moduli, widths
-from .diagrams import (ArrowAlphabet, DerivationDiagram, NotAdmissible,
-                       NotChained, TransitionDiagram, admissible_in,
-                       arrow_alphabet, build_D0, build_T0, build_Ti,
-                       sector_permutation, t0_grid)
+from .diagrams import (ArrowAlphabet, NotAdmissible, NotChained,
+                       TransitionDiagram, admissible_in, arrow_alphabet,
+                       build_D0, build_T0, build_Ti, sector_permutation,
+                       t0_grid)
 from .tracer import (Crossing, CuttingWord, NotCoAdjacent, VertexHit,
                      realize_periodic, sector_of, start_through, trace)
 from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
@@ -19,7 +19,7 @@ from .farey import (BoundaryOrbit, DomainError, Itinerary, NoConvergence,
 
 __all__ = [
     "ArrowAlphabet", "BoundaryOrbit", "Crossing", "CuttingWord",
-    "DerivationDiagram", "DomainError", "HooperDiagram", "Itinerary",
+    "DomainError", "HooperDiagram", "Itinerary",
     "NoConvergence", "NonPositiveShape", "NotAdmissible", "NotChained",
     "NotCoAdjacent", "Polygon", "Surface", "TransitionDiagram", "VertexHit",
     "admissible_in", "arrow_alphabet", "build_D0", "build_T0", "build_Ti",

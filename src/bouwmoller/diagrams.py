@@ -29,11 +29,11 @@ class TransitionDiagram:
 
     grid relabels the slots of T_0's grid; each arrow of T_0 (the arrows
     ArrowAlphabet names) becomes the arrow between the same two slots.
+    arrow_labels labels arrows by dual sides; only the derivation diagram
+    D_0 has them, and it is written as "derivation" with its labels.
     """
 
-    dot_name = "transitions"
-
-    def __init__(self, m, n, sector, grid):
+    def __init__(self, m, n, sector, grid, arrow_labels=()):
         self.m = m
         self.n = n
         self.sector = sector
@@ -42,18 +42,23 @@ class TransitionDiagram:
                    for x, y in zip(row0, row)}
         self.arrows = frozenset((relabel[a], relabel[b])
                                 for a, b in arrow_alphabet(m, n).name_of_arrow)
-        self.arrow_labels = {}
+        self.arrow_labels = dict(arrow_labels)
 
     def _data(self):
-        return {"m": self.m, "n": self.n, "sector": self.sector,
+        data = {"m": self.m, "n": self.n, "sector": self.sector,
                 "grid": [list(r) for r in self.grid],
                 "arrows": sorted(list(a) for a in self.arrows)}
+        if self.arrow_labels:
+            data["arrow_labels"] = sorted([a, b, l] for (a, b), l
+                                          in self.arrow_labels.items())
+        return data
 
     def to_json(self, indent=None):
         return _dumps(self._data(), indent)
 
     def to_dot(self):
-        out = [f"digraph {self.dot_name} {{"]
+        name = "derivation" if self.arrow_labels else "transitions"
+        out = [f"digraph {name} {{"]
         for row in self.grid:
             out.append("  { rank=same; " + "; ".join(str(v) for v in row) + " }")
         for a, b in sorted(self.arrows):
@@ -62,21 +67,6 @@ class TransitionDiagram:
             out.append(f"  {a} -> {b}{attr};")
         out.append("}")
         return "\n".join(out)
-
-
-class DerivationDiagram(TransitionDiagram):
-    """T_0 with its labeled horizontal arrows (labels in the dual alphabet)."""
-
-    dot_name = "derivation"
-
-    def __init__(self, m, n, grid, arrow_labels):
-        super().__init__(m, n, 0, grid)
-        self.arrow_labels = dict(arrow_labels)
-
-    def _data(self):
-        data = super()._data()
-        data["arrow_labels"] = sorted([a, b, l] for (a, b), l in self.arrow_labels.items())
-        return data
 
 
 def build_T0(m, n):
@@ -105,7 +95,7 @@ def build_D0(m, n):
             left, right = (row[c], row[c - 1]), (row[c - 1], row[c])
             first, second = (left, right) if c % 2 == 1 else (right, left)
             labels[first], labels[second] = dual[c - 1][r], dual[c - 1][r + 1]
-    return DerivationDiagram(m, n, grid, labels)
+    return TransitionDiagram(m, n, 0, grid, labels)
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +114,12 @@ def sector_permutation(m, n, i):
     the central symmetry of the surface fixes the single row, no cutting
     sequence can tell the two apart, and the lexicographically smallest is
     kept.  Raises ValueError when neither map works, which happens in the
-    even nonzero sectors whenever m and n are both even.
+    even nonzero sectors whenever m and n are both even.  For i >= n this
+    is the reflection of sector i itself, not what normalize and
+    derivative_sequence apply there: they reverse the word and apply the
+    permutation of sector i - n.  On 2 <= m <= 9, 3 <= n <= 9 the two
+    differ in 271 of the 300 sectors where both exist, and in 12 more only
+    one of them exists.
     """
     if not 0 <= i <= 2 * n - 1:
         raise ValueError(f"sector {i} out of range 0..{2 * n - 1}")
@@ -153,43 +148,50 @@ def sector_permutation(m, n, i):
     return min(candidates, key=lambda p: [p[s] for s in labels])
 
 
-_Table = namedtuple("_Table", "code masks full arrows sides perms")
+_Table = namedtuple("_Table", "code masks full arrows sides perms steps translates")
 
 
 @lru_cache(maxsize=None)
 def _table(m, n):
     """Transition table of M(m,n), the one record per surface that
-    admissibility, derivation and normalization read.  code[a][b] is the
+    admissibility, normalization and derivation read.  code[a][b] is the
     code (a-1)*r + b-1, r = max(16, n(m-1)), of each transition (a, b)
     that some T_i has, either way round: one byte on at most 16 sides.
+    perms[i] is the permutation of sector i % n, for 0 <= i < 2n; each is
+    its own inverse, so T_i's arrows are the images of T_0's under it.
     Bit i of masks[code[a][b]] is set when T_i has the arrow (a, b), and
     bit i + n when it has (b, a), so that T_i admits the reversed word; the
     masks of the other codes are 0.  full is the mask of every sector with
     a reflecting normalization, arrows the codes whose mask is not 0, and
-    perms[i] the permutation of sector i % n, for 0 <= i < 2n.  On at most
-    16 sides arrows is bytes and sides holds the sides as bytes, to
-    delete; on more, sides is None."""
-    pairs, full, perms = {}, 0, [None] * n
+    steps[i] maps the code of each arrow of sector i, coded reversed for
+    i >= n, to the D_0 label of the T_0 arrow it normalizes to, or to 0.
+    On at most 16 sides arrows is bytes, sides holds the sides as bytes,
+    to delete, and translates[i] the bytes.translate arguments of
+    steps[i]: the label of each code, 0 for no arrow, and the unlabeled
+    arrows, to delete; on more, sides and translates are None."""
+    d0, r = build_D0(m, n), max(16, n * (m - 1))
+    code, masks, full = {}, [0] * (r * r), 0
+    perms, steps = [None] * n, [None] * (2 * n)
     for i in range(n):
         try:
-            arrows = build_Ti(m, n, i).arrows
+            perms[i] = p = sector_permutation(m, n, i)
         except ValueError:
             continue
-        perms[i] = sector_permutation(m, n, i)
         full |= 1 << i | 1 << (i + n)
-        for a, b in arrows:
-            pairs[(a, b)] = pairs.get((a, b), 0) | 1 << i
-            pairs[(b, a)] = pairs.get((b, a), 0) | 1 << (i + n)
-    r = max(16, n * (m - 1))
-    code, masks = {}, [0] * (r * r)
-    for (a, b), mask in pairs.items():
-        code.setdefault(a, {})[b] = c = (a - 1) * r + b - 1
-        masks[c] = mask
-    arrows = sorted(code[a][b] for a, b in pairs)
-    if r == 16:
-        return _Table(code, masks, full, bytes(arrows), _BYTES[1:n * (m - 1) + 1],
-                      tuple(perms * 2))
-    return _Table(code, masks, full, tuple(arrows), None, tuple(perms * 2))
+        steps[i], steps[i + n] = {}, {}
+        for a, b in d0.arrows:
+            for x, y, j in ((p[a], p[b], i), (p[b], p[a], i + n)):
+                code.setdefault(x, {})[y] = c = (x - 1) * r + y - 1
+                masks[c] |= 1 << j
+                steps[j][c] = d0.arrow_labels.get((a, b), 0)
+    arrows, perms = [c for c, mask in enumerate(masks) if mask], tuple(perms * 2)
+    if r > 16:
+        return _Table(code, masks, full, tuple(arrows), None, perms, steps, None)
+    translates = [s and (bytes(s.get(c, 0) for c in range(256)),
+                         bytes(c for c, label in s.items() if not label))
+                  for s in steps]
+    return _Table(code, masks, full, bytes(arrows), _BYTES[1:n * (m - 1) + 1],
+                  perms, steps, translates)
 
 
 # on at most 16 sides a side x translated by _LO is the nibble x - 1
@@ -231,31 +233,40 @@ def _word_codes(t, word):
 
 def _word_mask(t, codes):
     """AND of the sector masks in table t of the codes of _word_codes; 0
-    for None.  A word with more codes than t has arrows is read per arrow:
-    bytes must hold nothing but arrows, and each arrow is looked for with
-    `in`, a C-level scan; a list is cut to its distinct codes."""
+    for None.  Bytes with more codes than t has arrows are read per arrow:
+    they must hold nothing but arrows, and each arrow is looked for with
+    `in`, a C-level scan."""
     if codes is None:
         return 0
-    if len(codes) > len(t.arrows):
-        if not isinstance(codes, bytes):
-            codes = set(codes)
-        elif codes.translate(None, t.arrows):
+    if isinstance(codes, bytes) and len(codes) > len(t.arrows):
+        if codes.translate(None, t.arrows):
             return 0
-        else:
-            codes = [c for c in t.arrows if c in codes]
+        codes = [c for c in t.arrows if c in codes]
     mask, masks = t.full, t.masks
     for c in codes:
         mask &= masks[c]
     return mask
 
 
+def _derivative(t, codes, i):
+    """Dual labels of the transitions of _word_codes's codes, in order,
+    normalized from sector i of table t, or None if one is no arrow of
+    T_i: one translate of bytes, which leaves a 0 for each code that is
+    no arrow, else one lookup each."""
+    if isinstance(codes, bytes):
+        labels = codes.translate(*t.translates[i])
+        return None if 0 in labels else labels
+    labels = list(map(t.steps[i].get, codes))
+    return None if None in labels else list(filter(None, labels))
+
+
 def admissible_in(m, n, word):
     """Set of sectors in 0..2n-1 whose transition diagram admits the word.
 
-    Sectors with no reflecting normalization (see sector_permutation) are
-    omitted.  The answer is the AND of the sector masks of the word's
-    distinct transitions in one table per surface (_table), built
-    from the n diagrams T_i on first use.
+    Sectors i and i + n are omitted when sector i < n has no reflecting
+    normalization (see sector_permutation).  The answer is the AND of the
+    sector masks of the word's transitions in the one table per surface
+    (_table), built from D_0 and the sector permutations on first use.
     """
     t = _table(m, n)
     mask = _word_mask(t, _word_codes(t, list(word)))

@@ -2,9 +2,9 @@
 
 from functools import lru_cache
 
-from .diagrams import (NotAdmissible, _table, _word_codes, _word_mask,
-                       admissible_in, arrow_alphabet, build_D0, build_Ti,
-                       sector_permutation)
+from .diagrams import (NotAdmissible, _derivative, _table, _word_codes,
+                       _word_mask, admissible_in, arrow_alphabet, build_D0,
+                       build_Ti, sector_permutation)
 
 
 def derive(m, n, word, cyclic=False):
@@ -17,8 +17,9 @@ def derive(m, n, word, cyclic=False):
     if len(word) < 2:
         raise ValueError("derivation needs at least two letters")
     path = word + word[:1] if cyclic else word
-    codes = _word_codes(_table(m, n), path)
-    labels = None if codes is None else _derivative(m, n, codes, 0)
+    t = _table(m, n)
+    codes = _word_codes(t, path)
+    labels = None if codes is None else _derivative(t, codes, 0)
     if labels is None:
         a, b = next((a, b) for a, b in zip(path, path[1:])
                     if 0 not in admissible_in(m, n, [a, b]))
@@ -35,43 +36,6 @@ def normalize(m, n, word):
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
     i = (mask & -mask).bit_length() - 1  # the lowest sector in the mask
     return i, list(map(t.perms[i].__getitem__, word[::-1] if i >= n else word))
-
-
-@lru_cache(maxsize=None)
-def _sector_steps(m, n, i):
-    """derive after normalize from sector i (D_0 for i = 0) by transition
-    code: dual label, 0, or None for no arrow.  Sectors i >= n reverse the
-    word, so each arrow is coded reversed and the labels come out reversed."""
-    d0 = build_D0(m, n)
-    inv = {y: x for x, y in sector_permutation(m, n, i % n).items()}
-    code, masks = _table(m, n)[:2]
-    steps = [None] * len(masks)
-    for a, b in d0.arrows:
-        x, y = (inv[b], inv[a]) if i >= n else (inv[a], inv[b])
-        steps[code[x][y]] = d0.arrow_labels.get((a, b), 0)
-    return steps
-
-
-@lru_cache(maxsize=None)
-def _byte_steps(m, n, i):
-    """_sector_steps of a surface of at most 16 sides, whose codes are
-    bytes, as arguments of bytes.translate: the label of each code, 0 for
-    no arrow, and the codes of the arrows with no label, to delete."""
-    steps = _sector_steps(m, n, i)
-    return (bytes(x or 0 for x in steps),
-            bytes(c for c in range(256) if steps[c] == 0))
-
-
-def _derivative(m, n, codes, i):
-    """Dual labels of the transitions of _word_codes's codes, in order,
-    normalized from sector i, or None if one is no arrow of T_i: by one
-    translate when the codes are bytes, which leaves a 0 for each code that
-    is no arrow, else by one lookup each."""
-    if isinstance(codes, bytes):
-        labels = codes.translate(*_byte_steps(m, n, i))
-        return None if 0 in labels else labels
-    labels = list(map(_sector_steps(m, n, i).__getitem__, codes))
-    return None if None in labels else list(filter(None, labels))
 
 
 def derivative_sequence(m, n, word, k):
@@ -105,7 +69,7 @@ def derivative_sequence(m, n, word, k):
             break
         if i is None:
             raise NotAdmissible(f"word admissible in no sector of M({mm},{nn})")
-        labels = _derivative(mm, nn, codes, i)
+        labels = _derivative(table, codes, i)
         cur = labels[::-1] if i >= nn else labels
         words.append(list(cur))
         mm, nn = nn, mm
@@ -159,14 +123,14 @@ def _generation_steps(m, n, i):
     The paths must chain: at each letter, the B of every arrow in and the
     A of every arrow out agree."""
     gd = generation_diagram(n, m, i)
-    inv = {y: x for x, y in sector_permutation(n, m, i).items()}
+    perm = sector_permutation(n, m, i)  # its own inverse
     seam = {}
     for (x, y), (a_arr, b_arr, _) in gd.items():
         if seam.setdefault(y, b_arr) != b_arr or seam.setdefault(x, a_arr) != a_arr:
             raise RuntimeError("interpolating paths do not chain")
     steps = {}
     for (x, y), (a_arr, b_arr, path) in gd.items():
-        steps.setdefault(inv[x], {})[inv[y]] = (a_arr[0], tuple(path), b_arr[1])
+        steps.setdefault(perm[x], {})[perm[y]] = (a_arr[0], tuple(path), b_arr[1])
     return steps
 
 

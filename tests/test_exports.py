@@ -77,6 +77,18 @@ def test_the_cli_states_its_writer_and_its_gate_once():
     assert _callers(tree, "_require_renorm_params") == {"main", "cmd_verify"}
 
 
+def test_renorm_holds_no_word_coding():
+    # diagrams picks how a word is coded and derives in that coding, so
+    # renorm calls no translate and tests no value for bytes
+    path = Path(bouwmoller.__file__).with_name("renorm.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _callers(tree, "translate") == set()
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and "bytes" in {getattr(x, "id", None)
+                                for x in ast.walk(node.args[1])}]
+
+
 def test_the_geometry_layers_import_no_combinatorics():
     # surface is the bottom layer; the tracer reads only the surface, and
     # takes its periodic directions from the cylinders, not the diagrams

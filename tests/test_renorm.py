@@ -9,8 +9,8 @@ import pytest
 from bouwmoller import renorm
 from bouwmoller.cli import (GOLDEN_PSUB, GOLDEN_SIGMA11_43, _contains,
                             _random_t0_word)
-from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
-                                 build_D0, sector_permutation)
+from bouwmoller.diagrams import (NotAdmissible, NotChained, _table,
+                                 admissible_in, build_D0, sector_permutation)
 from bouwmoller.renorm import (derivative_sequence, derive, fixed_point_form,
                                generate, normalize, pseudo_substitution,
                                substitution, tr_operator, tr_operator_inverse)
@@ -318,22 +318,28 @@ def test_sector_steps_derive_the_normalized_word():
             _check_derivations(m, n, rng)
 
 
-def test_a_swapped_byte_label_fails_the_derivation_reference(monkeypatch):
-    real = renorm._byte_steps
-
-    def swapped(m, n, i):
-        labels, *deletes = real(m, n, i)
-        if (m, n, i) != (4, 3, 0):
-            return (labels, *deletes)
-        t = bytearray(labels)
-        a = next(k for k in range(256) if t[k])
-        b = next(k for k in range(256) if t[k] not in (0, t[a]))
-        t[a], t[b] = t[b], t[a]
-        return (bytes(t), *deletes)
-
-    monkeypatch.setattr(renorm, "_byte_steps", swapped)
-    with pytest.raises(AssertionError):
-        _check_derivations(4, 3, random.Random(6007))
+def test_a_swapped_byte_label_fails_the_derivation_reference():
+    # two labels of sector 0 swapped in a copy of the cached record's step
+    # table: the byte table of M(4,3), and the dict steps of M(4,7), whose
+    # 21 sides take the other coding; the record is restored after each
+    for m, n in ((4, 3), (4, 7)):
+        t = _table(m, n)
+        step = dict(t.steps[0])
+        a = next(c for c in sorted(step) if step[c])
+        b = next(c for c in sorted(step) if step[c] not in (0, step[a]))
+        if t.translates is None:
+            tables, swapped = t.steps, step
+            step[a], step[b] = step[b], step[a]
+        else:
+            labels = bytearray(t.translates[0][0])
+            labels[a], labels[b] = labels[b], labels[a]
+            tables, swapped = t.translates, (bytes(labels), t.translates[0][1])
+        real, tables[0] = tables[0], swapped
+        try:
+            with pytest.raises(AssertionError):
+                _check_derivations(m, n, random.Random(6007))
+        finally:
+            tables[0] = real
 
 
 def test_code_table_edges_are_unchanged():
