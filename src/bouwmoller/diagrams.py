@@ -157,18 +157,18 @@ def _table(m, n):
     admissibility, normalization and derivation read.  code[a][b] is the
     code (a-1)*r + b-1, r = max(16, n(m-1)), of each transition (a, b)
     that some T_i has, either way round: one byte on at most 16 sides.
-    perms[i] is the permutation of sector i % n, for 0 <= i < 2n; each is
-    its own inverse, so T_i's arrows are the images of T_0's under it.
+    perms[i] is the permutation of sector i % n, for 0 <= i < 2n: T_i's
+    arrows are the images of T_0's under it, and it maps them back too.
     Bit i of masks[code[a][b]] is set when T_i has the arrow (a, b), and
     bit i + n when it has (b, a), so that T_i admits the reversed word; the
     masks of the other codes are 0.  full is the mask of every sector with
-    a reflecting normalization, arrows the codes whose mask is not 0, and
-    steps[i] maps the code of each arrow of sector i, coded reversed for
-    i >= n, to the D_0 label of the T_0 arrow it normalizes to, or to 0.
-    On at most 16 sides arrows is bytes, sides holds the sides as bytes,
-    to delete, and translates[i] the bytes.translate arguments of
-    steps[i]: the label of each code, 0 for no arrow, and the unlabeled
-    arrows, to delete; on more, sides and translates are None."""
+    a reflecting normalization, and steps[i] maps the code of each arrow of
+    sector i, coded reversed for i >= n, to the D_0 label of the T_0 arrow
+    it normalizes to, or to 0.  On at most 16 sides arrows holds the codes
+    whose mask is not 0 and sides the sides, both as bytes, to delete, and
+    translates[i] the bytes.translate arguments of steps[i]: the label of
+    each code, 0 for no arrow, and the unlabeled arrows, to delete; on
+    more, arrows, sides and translates are None."""
     d0, r = build_D0(m, n), max(16, n * (m - 1))
     code, masks, full = {}, [0] * (r * r), 0
     perms, steps = [None] * n, [None] * (2 * n)
@@ -184,13 +184,14 @@ def _table(m, n):
                 code.setdefault(x, {})[y] = c = (x - 1) * r + y - 1
                 masks[c] |= 1 << j
                 steps[j][c] = d0.arrow_labels.get((a, b), 0)
-    arrows, perms = [c for c, mask in enumerate(masks) if mask], tuple(perms * 2)
+    perms = tuple(perms * 2)
     if r > 16:
-        return _Table(code, masks, full, tuple(arrows), None, perms, steps, None)
+        return _Table(code, masks, full, None, None, perms, steps, None)
+    arrows = bytes(c for c, mask in enumerate(masks) if mask)
     translates = [s and (bytes(s.get(c, 0) for c in range(256)),
                          bytes(c for c, label in s.items() if not label))
                   for s in steps]
-    return _Table(code, masks, full, bytes(arrows), _BYTES[1:n * (m - 1) + 1],
+    return _Table(code, masks, full, arrows, _BYTES[1:n * (m - 1) + 1],
                   perms, steps, translates)
 
 
