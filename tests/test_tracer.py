@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bouwmoller import tracer
+from bouwmoller.cli import _interior_point
 from bouwmoller.diagrams import admissible_in, build_Ti
+from bouwmoller.farey import _angle, _apply, gamma
 from bouwmoller.renorm import derive, fixed_point_form, normalize
 from bouwmoller.surface import build_surface
 from bouwmoller.tracer import (NotCoAdjacent, VertexHit, _cylinder,
@@ -343,6 +345,34 @@ def test_cylinder_is_bit_exact():
             digest.update(repr((word, _cylinder(surf, word, theta))).encode())
     assert digest.hexdigest() == (
         "d1f32b6aeb37be4115fd5ef66cab23e9e02ff6c8c72fef218ddbae19280ae242")
+
+
+def test_cylinder_is_bit_exact_on_the_oracles_words():
+    # what check_geometric_oracle feeds _cylinder: the derived words of
+    # 420-crossing windows, on the dual at their image directions, each
+    # also with one letter changed
+    digest = hashlib.sha256()
+    for m, n in ((3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)):
+        surf, dual = build_surface(m, n), build_surface(n, m)
+        g = gamma(m, n)
+        rng = random.Random(f"oracle-words:{m}:{n}")
+        for _ in range(30):
+            theta = rng.uniform(1e-6, math.pi / n - 1e-6)
+            try:
+                labels = trace(surf, _interior_point(surf, rng), theta,
+                               420).labels
+            except VertexHit:
+                digest.update(b"VertexHit")
+                continue
+            word = derive(m, n, labels)
+            image = _angle(_apply(g, (math.cos(theta), math.sin(theta))))
+            bad = list(word)
+            i = rng.randrange(len(bad))
+            bad[i] = rng.choice([x for x in dual.labels if x != bad[i]])
+            for w in (word, bad):
+                digest.update(repr((w, _cylinder(dual, w, image))).encode())
+    assert digest.hexdigest() == (
+        "ac197575a6def8b621a821c5c364d1d8cd23c32b8ead9a4be9fe19b96b0d113b")
 
 
 def test_cylinder_interval_witnesses_traced_words():
