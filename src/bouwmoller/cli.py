@@ -309,7 +309,7 @@ def check_traced_windows(m, n, trials=200, seed=7):
             continue
         start = _interior_point(surf, rng)
         try:
-            labels = list(trace(surf, start, theta, WINDOW).labels)
+            labels = trace(surf, start, theta, WINDOW).labels
         except VertexHit:
             skipped["vertex"] += 1
             continue
@@ -373,7 +373,7 @@ def check_geometric_oracle(m, n, trials=100, seed=7):
             continue
         start = _interior_point(surf, rng)
         try:
-            labels = list(trace(surf, start, theta, WINDOW).labels)
+            labels = trace(surf, start, theta, WINDOW).labels
         except VertexHit:
             redraws += 1
             continue

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import lru_cache
 
 
 class NonPositiveShape(ValueError):
@@ -45,7 +46,8 @@ class Polygon:
 
     Edge i runs from vertex i to vertex i+1 in direction i*pi/n and has
     length a (i even) or b (i odd).  Zero-length edges are kept as markers
-    so edge indices always run over 0..2n-1.
+    so edge indices always run over 0..2n-1.  contains reads the edge rows
+    stored whenever the vertices are placed, here and by translate.
     """
 
     def __init__(self, n, a, b):
@@ -64,6 +66,7 @@ class Polygon:
             raise NonPositiveShape(f"side lengths a={a}, b={b} do not close "
                                    f"a {2 * n}-gon")
         self.vertices = pts[:-1]
+        self._rows = self.edge_rows()
 
     def edge_length(self, i):
         return self.a if i % 2 == 0 else self.b
@@ -97,6 +100,7 @@ class Polygon:
 
     def translate(self, dx, dy):
         self.vertices = [(x + dx, y + dy) for x, y in self.vertices]
+        self._rows = self.edge_rows()
 
     def bounds(self):
         xs = [p[0] for p in self.vertices]
@@ -108,7 +112,7 @@ class Polygon:
         x, y = p
         if not (math.isfinite(x) and math.isfinite(y)):
             return False
-        for _, ax, ay, ex, ey, _, _ in self.edge_rows():
+        for _, ax, ay, ex, ey, _, _ in self._rows:
             if ex * (y - ay) - ey * (x - ax) < -tol:
                 return False
         return True
@@ -123,9 +127,11 @@ class Surface:
     row r and are numbered in the zigzag order induced by rays alternating
     between directions pi and pi/n from side midpoints (side_seats).
 
-    The tracing geometry is built once: edge_table[k] holds
-    polygon k's edge_rows(), and glue_table[k][e] is (label, k2, e2, sx, sy)
-    for the seat (k, e), glued to seat (k2, e2) by the translation (sx, sy).
+    The tracing geometry is built once: glue_table[k][e] is (label, k2, e2,
+    sx, sy) for the seat (k, e), glued to seat (k2, e2) by the translation
+    (sx, sy), and edge_table[k] holds polygon k's edge_rows(), each followed
+    by |e|, label, k2, sx and sy.  build_surface shares one surface per
+    (m, n), so treat it as read-only; Surface(m, n) builds a private copy.
     """
 
     def __init__(self, m, n):
@@ -139,7 +145,6 @@ class Surface:
             x0, y0, x1, _ = poly.bounds()
             poly.translate(x - x0, -y0)
             x += x1 - x0
-        self.edge_table = [poly.edge_rows() for poly in self.polygons]
         self.glue_table = [[None] * (2 * n) for _ in range(m)]
         for label in self.labels:
             s1, s2 = side_seats(m, n, label)
@@ -151,6 +156,11 @@ class Surface:
                 a2 = self.polygons[k2].edge(e2)[0]
                 self.glue_table[k][e] = (label, k2, e2,
                                          a2[0] - b[0], a2[1] - b[1])
+        self.edge_table = [
+            [row + (math.hypot(row[3], row[4]), label, k2, sx, sy)
+             for row in poly._rows
+             for label, k2, _, sx, sy in (glue[row[0]],)]
+            for poly, glue in zip(self.polygons, self.glue_table)]
 
     @property
     def labels(self):
@@ -227,4 +237,16 @@ def _dumps(obj, indent=None):
 
 
 def build_surface(m, n):
+    """M(m,n), built once and shared: read-only; Surface(m, n) is a copy.
+
+    Raises NonPositiveShape for an m or n that is no int before the cache
+    is consulted, where 4.0 would find M(4, n); see Surface for the rest."""
+    for v in (m, n):
+        if not isinstance(v, int):
+            raise NonPositiveShape(f"m and n must be ints, got {v!r}")
+    return _shared_surface(m, n)
+
+
+@lru_cache(maxsize=None)
+def _shared_surface(m, n):
     return Surface(m, n)

@@ -15,7 +15,7 @@ from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
                                  arrow_alphabet, build_D0, build_T0,
                                  build_Ti, sector_permutation, t0_grid)
 from bouwmoller.hooper import build_hooper
-from bouwmoller.surface import Surface, build_surface
+from bouwmoller.surface import Surface, _shared_surface, build_surface
 from bouwmoller.tracer import VertexHit, sector_of, start_through, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
@@ -306,13 +306,15 @@ def test_walks_are_admissible_in_every_permuted_sector(m, n, rng):
 
 def test_sector_permutations_build_no_surface(monkeypatch):
     # seats are index arithmetic, so neither the permutations of every
-    # sector of M(4,4) nor the golden check lays out a polygon
+    # sector of M(4,4) nor the golden check lays out a polygon, nor reads a
+    # shared one
     def no_build(self, m, n):
         raise AssertionError(f"built M({m},{n})")
 
     monkeypatch.setattr(Surface, "__init__", no_build)
     for cached in (sector_permutation, renorm.generation_diagram,
-                   renorm._generation_steps, renorm.pseudo_substitution):
+                   renorm._generation_steps, renorm.pseudo_substitution,
+                   _shared_surface):
         cached.cache_clear()
     for i in range(8):
         try:

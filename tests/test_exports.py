@@ -89,6 +89,17 @@ def test_renorm_holds_no_word_coding():
                                 for x in ast.walk(node.args[1])}]
 
 
+def test_the_tracers_hot_loops_call_no_max_min_or_hypot():
+    # _cylinder steps once per letter of each oracle word, and a builtin
+    # max or min call there cost more than tracing the window; |e| is
+    # read from the surface's edge_table, built once per surface
+    path = Path(bouwmoller.__file__).with_name("tracer.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bounds = _callers(tree, "max") | _callers(tree, "min")
+    assert bounds & {"_cylinder", "_exit_tables"} == set()
+    assert "_exit_rows" not in _callers(tree, "hypot")
+
+
 def test_the_geometry_layers_import_no_combinatorics():
     # surface is the bottom layer; the tracer reads only the surface, and
     # takes its periodic directions from the cylinders, not the diagrams

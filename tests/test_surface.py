@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bouwmoller import surface
-from bouwmoller.surface import (NonPositiveShape, Polygon, build_surface,
-                                forward_class, polygon_params, side_seats)
+from bouwmoller.surface import (NonPositiveShape, Polygon, Surface,
+                                build_surface, forward_class, polygon_params,
+                                side_seats)
 from bouwmoller.tracer import VertexHit, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
@@ -30,6 +31,22 @@ def test_rejects_too_small_parameters():
         build_surface(4, 1)
     with pytest.raises(NonPositiveShape):
         build_surface(4, 2)
+
+
+@pytest.mark.parametrize("m, n", [(4.0, 3), (4, "3"), (None, 3)],
+                         ids=["float", "str", "None"])
+def test_rejects_parameters_that_are_no_int(m, n):
+    build_surface(4, 3)  # a cached M(4,3) must not answer for 4.0
+    with pytest.raises(NonPositiveShape, match="must be ints"):
+        build_surface(m, n)
+
+
+def test_surfaces_are_shared_and_surface_builds_a_copy():
+    surf = build_surface(4, 3)
+    assert build_surface(4, 3) is surf
+    copy = Surface(4, 3)
+    assert copy is not surf and copy.to_json() == surf.to_json()
+    assert copy.edge_table == surf.edge_table
 
 
 @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (1.0, float("inf")),
@@ -61,8 +78,9 @@ def test_labelling_invariants_raise(monkeypatch):
     monkeypatch.setattr(surface, "polygon_params", lambda m, n, k:
                         real_params(m, n, k)[::-1] if k == m - 1
                         else real_params(m, n, k))
+    # Surface, not build_surface: a shared M(3,4) would skip the patch
     with pytest.raises(RuntimeError, match="glued to degenerate edge"):
-        build_surface(3, 4)
+        Surface(3, 4)
 
 
 def zigzag_ray_misses(surf, k, order):
@@ -174,6 +192,17 @@ def test_strict_interior_containment():
             assert not poly.contains((x0 - 1.0, y0 - 1.0))
             for bad in ((math.nan, cy), (cx, math.inf), (-math.inf, math.nan)):
                 assert not poly.contains(bad, tol=1.0)
+
+
+def test_translate_moves_containment():
+    # contains reads the edge rows stored when the vertices were placed
+    poly = Polygon(3, 1.0, 1.0)
+    x0, y0, x1, y1 = poly.bounds()
+    c = ((x0 + x1) / 2, (y0 + y1) / 2)
+    assert poly.contains(c)
+    poly.translate(10.0, 0.0)
+    assert not poly.contains(c)
+    assert poly.contains((c[0] + 10.0, c[1]))
 
 
 def test_polygons_chain_left_to_right():
