@@ -90,9 +90,9 @@ def test_renorm_holds_no_word_coding():
 
 
 def test_the_tracers_hot_loops_call_no_max_min_or_hypot():
-    # _cylinder steps once per letter of each oracle word, and a builtin
-    # max or min call there cost more than tracing the window; |e| is
-    # read from the surface's edge_table, built once per surface
+    # _cylinder steps once per letter of each oracle word, and two builtin
+    # max/min calls a letter were most of its cost; |e| is read from the
+    # surface's edge_table, built once per surface
     path = Path(bouwmoller.__file__).with_name("tracer.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bounds = _callers(tree, "max") | _callers(tree, "min")
