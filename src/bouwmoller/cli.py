@@ -368,7 +368,7 @@ def check_geometric_oracle(m, n, trials=100, seed=7):
     words = []
     while len(words) < trials:
         theta = rng.uniform(0, math.pi / n)
-        if min(theta, math.pi / n - theta) < 1e-6:
+        if sector_of(theta, n, tol=1e-6)[1]:
             redraws += 1
             continue
         start = _interior_point(surf, rng)
@@ -508,6 +508,8 @@ def run_verification(surfaces, seed=7, trials=None):
 
     trials, when given, replaces every randomized check's own trial count.
     """
+    if trials is not None and not isinstance(trials, int):
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     counts = {} if trials is None else {"trials": trials}
@@ -899,7 +901,7 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (SystemExit2, VertexHit, DomainError, BoundaryOrbit, NoConvergence,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,8 +75,6 @@ def build_T0(m, n):
 
 def build_Ti(m, n, i):
     """Transition diagram for sector i, 0 <= i <= n-1."""
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"sector {i} out of range 0..{n - 1}")
     perm = sector_permutation(m, n, i)
     grid = tuple(tuple(perm[x] for x in row) for row in t0_grid(m, n))
     return TransitionDiagram(m, n, i, grid)
@@ -108,27 +106,24 @@ def sector_permutation(m, n, i):
     m-1-k when it reverses the chain.  The reflection turns edge e, of
     direction e*pi/n, into edge i+1+n-e (mod 2n) of the image polygon.
     Side s goes to side t when each seat of s lands on a seat of t, and the
-    result must send row r to row r (to row m - r when i - n is even).  Each
+    result must send row r to row r (to row m - r when n - i is even).  Each
     of the two polygon maps that gives such a bijection is a candidate.
     For m = 2 and n even both do in every sector that has a normalization:
     the central symmetry of the surface fixes the single row, no cutting
     sequence can tell the two apart, and the lexicographically smallest is
     kept.  Raises ValueError when neither map works, which happens in the
-    even nonzero sectors whenever m and n are both even.  For i >= n this
-    is the reflection of sector i itself, not what normalize and
-    derivative_sequence apply there: they reverse the word and apply the
-    permutation of sector i - n.  On 2 <= m <= 9, 3 <= n <= 9 the two
-    differ in 271 of the 300 sectors where both exist, and in 12 more only
-    one of them exists.
+    even nonzero sectors whenever m and n are both even.  Sectors are
+    0..n-1: a sector n <= i < 2n is sector i - n read backwards, as
+    normalize applies it.
     """
-    if not 0 <= i <= 2 * n - 1:
-        raise ValueError(f"sector {i} out of range 0..{2 * n - 1}")
+    if not 0 <= i <= n - 1:
+        raise ValueError(f"sector {i} out of range 0..{n - 1}")
     labels = range(1, n * (m - 1) + 1)
     if i == 0:
         return {s: s for s in labels}
     seat_label = {seat: s for s in labels for seat in side_seats(m, n, s)}
     row = {s: (s - 1) // n + 1 for s in labels}
-    want_row = {s: m - r if (i - n) % 2 == 0 else r for s, r in row.items()}
+    want_row = {s: m - r if (n - i) % 2 == 0 else r for s, r in row.items()}
 
     def side_map(image):
         # the side bijection induced by sending polygon k to image(k), or None
@@ -157,8 +152,8 @@ def _table(m, n):
     admissibility, normalization and derivation read.  code[a][b] is the
     code (a-1)*r + b-1, r = max(16, n(m-1)), of each transition (a, b)
     that some T_i has, either way round: one byte on at most 16 sides.
-    perms[i] is the permutation of sector i % n, for 0 <= i < 2n: T_i's
-    arrows are the images of T_0's under it, and it maps them back too.
+    perms[i] is the permutation of sector i, or None: T_i's arrows are the
+    images of T_0's under it, and it maps them back too.
     Bit i of masks[code[a][b]] is set when T_i has the arrow (a, b), and
     bit i + n when it has (b, a), so that T_i admits the reversed word; the
     masks of the other codes are 0.  full is the mask of every sector with
@@ -184,7 +179,7 @@ def _table(m, n):
                 code.setdefault(x, {})[y] = c = (x - 1) * r + y - 1
                 masks[c] |= 1 << j
                 steps[j][c] = d0.arrow_labels.get((a, b), 0)
-    perms = tuple(perms * 2)
+    perms = tuple(perms)
     if r > 16:
         return _Table(code, masks, full, None, None, perms, steps, None)
     arrows = bytes(c for c, mask in enumerate(masks) if mask)

@@ -35,7 +35,7 @@ def normalize(m, n, word):
     if not mask:
         raise NotAdmissible(f"word admissible in no sector of M({m},{n})")
     i = (mask & -mask).bit_length() - 1  # the lowest sector in the mask
-    return i, list(map(t.perms[i].__getitem__, word[::-1] if i >= n else word))
+    return i, list(map(t.perms[i % n].__getitem__, word[::-1] if i >= n else word))
 
 
 def derivative_sequence(m, n, word, k):

@@ -7,6 +7,7 @@ checks from the command line.
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,3 +120,99 @@ def test_criterion_11_direction_recognition():
 
 def test_criterion_12_periodic_fixed_points():
     report(12, cli.check_periodic_fixed_points())
+
+
+def _swap_first_two(real):
+    def broken(m, n, i):
+        perm = dict(real(m, n, i))
+        perm[1], perm[2] = perm[2], perm[1]
+        return perm
+    return broken
+
+
+def _relabel(real):
+    def broken(m, n):
+        d0 = real(m, n)  # a new diagram on every call
+        d0.arrow_labels = {a: label + 1 for a, label in d0.arrow_labels.items()}
+        return d0
+    return broken
+
+
+def _nudge_one(real):
+    def broken(m, n):
+        values = dict(real(m, n))
+        values[min(values)] *= 1 + 1e-6
+        return values
+    return broken
+
+
+def _empty_last_word(real):
+    def broken(m, n, word, k):
+        words, sectors, ambiguous = real(m, n, word, k)
+        return words[:-1] + [[]], sectors, ambiguous
+    return broken
+
+
+def _next_b0(real):
+    def broken(m, n, theta, k):
+        itin = real(m, n, theta, k)
+        return itin._replace(b0=(itin.b0 + 1) % (2 * n))
+    return broken
+
+
+def _drop_last_letter(real):
+    def broken(m, n, word):
+        i, u = real(m, n, word)
+        return i, u[:-1]
+    return broken
+
+
+def _next_sector(real):
+    def broken(m, n, i, word):
+        return real(m, n, i % (m - 1) + 1, word)
+    return broken
+
+
+# (name the check looks up in cli, broken copy of it, the check at a small
+# trial count); a copy never changes what the real function returns or caches
+NEGATIVE_CONTROLS = [
+    ("derive", lambda real: lambda m, n, word, cyclic=False:
+        real(m, n, word, cyclic)[::-1], cli.check_derivation_golden),
+    ("pseudo_substitution", lambda real: lambda m, n, i:
+        {k: v[::-1] for k, v in real(m, n, i).items()},
+     cli.check_substitution_goldens),
+    ("sector_permutation", _swap_first_two, cli.check_permutation_goldens),
+    ("reflection", lambda real: lambda m, n, i:
+        tuple(tuple(-x for x in row) for row in real(m, n, i)),
+     cli.check_permutation_goldens),
+    ("build_D0", _relabel, cli.check_diagram_structure),
+    ("arrow_alphabet", lambda real: lambda m, n:
+        SimpleNamespace(names=real(m, n).names[1:]),
+     cli.check_diagram_structure),
+    ("moduli", _nudge_one, cli.check_moduli),
+    ("derivative_sequence", _empty_last_word,
+     lambda: cli.check_traced_windows(4, 3, trials=5)[0]),
+    ("itinerary", _next_b0,
+     lambda: cli.check_traced_windows(4, 3, trials=5)[1]),
+    ("normalize", _drop_last_letter,
+     lambda: cli.check_generation_inverse(4, 3, trials=3)),
+    ("generate", _next_sector,
+     lambda: cli.check_generation_inverse(4, 3, trials=3)),
+    ("direction_from_itinerary", lambda real: lambda *args, **kwargs:
+        real(*args, **kwargs) + 1e-5,
+     lambda: cli.check_direction_recognition(4, 3, trials=3)),
+    ("tr_operator", lambda real: lambda m, n, i, names:
+        real(m, n, i, names)[::-1], lambda: cli.check_conjugacy(trials=12)),
+    ("fixed_point_form", lambda real: lambda word: None,
+     cli.check_periodic_fixed_points),
+]
+
+
+@pytest.mark.parametrize("name, breaker, check", NEGATIVE_CONTROLS,
+                         ids=[c[0] for c in NEGATIVE_CONTROLS])
+def test_each_check_fails_on_a_broken_copy(name, breaker, check, monkeypatch):
+    """Negative control for every criterion but 8, which has its own: the
+    check passes, then fails with one name it looks up in cli broken."""
+    assert check()["status"] == "pass"
+    monkeypatch.setattr(cli, name, breaker(getattr(cli, name)))
+    assert check()["status"] == "fail"

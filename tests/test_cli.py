@@ -457,6 +457,28 @@ def test_run_verification_seed_changes_draws():
     assert a["status"] == b["status"] == "pass"
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, "3", [3]])
+def test_run_verification_takes_int_trials(trials):
+    # a float ran ceil(trials) trials in the checks that count up to it,
+    # and a TypeError out of range() in check_conjugacy
+    with pytest.raises(ValueError, match=r"^trials must be an int, got "):
+        run_verification([(4, 3)], trials=trials)
+
+
+@pytest.mark.parametrize("args", [
+    ("trace", "-m", "4", "-n", "3", "--theta", "0.35", "--crossings", "5"),
+    ("verify", "-m", "4", "-n", "3", "--trials", "1"),
+], ids=["trace", "verify"])
+def test_an_out_directory_that_cannot_be_made_is_a_usage_error(args, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    r = run_cli(*args, "--out", str(blocker / "out"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Not a directory" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
 def test_parsers():
     assert _parse_word("1,6,7") == [1, 6, 7]
     assert _parse_word("r1, v3") == ["r1", "v3"]

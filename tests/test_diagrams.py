@@ -43,10 +43,18 @@ def test_sector_grids_match_frozen_tables():
 
 
 def test_sector_out_of_range():
-    with pytest.raises(ValueError):
-        build_Ti(4, 3, 3)
-    with pytest.raises(ValueError):
-        build_Ti(4, 3, -1)
+    # a sector n <= i < 2n is sector i - n read backwards, so neither the
+    # diagram nor the permutation, nor the operators, take it
+    calls = [(build_Ti, ()), (sector_permutation, ()),
+             (renorm.tr_operator, (["r1"],)),
+             (renorm.tr_operator_inverse, ([1, 2],))]
+    for fn, rest in calls:
+        for i in (3, 5, -1):
+            with pytest.raises(ValueError,
+                               match=rf"^sector {i} out of range 0\.\.2$"):
+                fn(4, 3, i, *rest)
+        if rest:
+            fn(4, 3, 2, *rest)  # sector n - 1 is in range
 
 
 def test_sector_permutations_match_frozen_tables():
@@ -58,13 +66,13 @@ def test_sector_permutations_match_frozen_tables():
 
 def test_sector_permutations_are_involutions():
     # the derivation and generation tables use each permutation as its own
-    # inverse, so every one that exists must be: 3 960 of them
+    # inverse, so every one that exists must be: 2 007 of them
     found = 0
     for m in range(2, 13):
         for n in range(3, 21):
             labels = list(range(1, n * (m - 1) + 1))
             assert [sector_permutation(m, n, 0)[k] for k in labels] == labels
-            for i in range(2 * n):
+            for i in range(n):
                 try:
                     perm = sector_permutation(m, n, i)
                 except ValueError:
@@ -72,7 +80,7 @@ def test_sector_permutations_are_involutions():
                 assert sorted(perm) == sorted(perm.values()) == labels
                 assert [perm[perm[k]] for k in labels] == labels
                 found += 1
-    assert found == 3960
+    assert found == 2007
 
 
 def test_permuted_grid_rows_are_the_sector_grid():
@@ -128,7 +136,7 @@ def test_sector_permutations_are_the_polygon_reflection():
     raised = 0
     for m in range(2, 10):
         for n in range(3, 10):
-            for i in range(2 * n):
+            for i in range(n):
                 candidates = reflected_candidates(m, n, i)
                 if not candidates:
                     with pytest.raises(ValueError,
@@ -138,7 +146,7 @@ def test_sector_permutations_are_the_polygon_reflection():
                     continue
                 assert sector_permutation(m, n, i) == min(
                     candidates, key=lambda p: [p[s] for s in sorted(p)])
-    assert raised == 60
+    assert raised == 24
     # negative control: a permutation with two images swapped is no reflection
     for m, n in SMALL:
         for i in range(1, n):
@@ -316,7 +324,7 @@ def test_sector_permutations_build_no_surface(monkeypatch):
                    renorm._generation_steps, renorm.pseudo_substitution,
                    _shared_surface):
         cached.cache_clear()
-    for i in range(8):
+    for i in range(4):
         try:
             sector_permutation(4, 4, i)
         except ValueError:
@@ -333,7 +341,7 @@ def test_surfaces_and_sector_permutations_are_unchanged():
             surf = build_surface(m, n)
             for text in (surf.to_json(), repr(surf.glue_table), surf.to_svg()):
                 digest.update(text.encode())
-            for i in range(2 * n):
+            for i in range(n):
                 try:
                     perm = sector_permutation(m, n, i)
                 except ValueError as exc:
@@ -341,7 +349,7 @@ def test_surfaces_and_sector_permutations_are_unchanged():
                     continue
                 digest.update(repr(sorted(perm.items())).encode())
     assert digest.hexdigest() == (
-        "7807f011aeb8e9e202b7208e454497a4cbd62f04fea569d3ceef484d4e43302d")
+        "0d368bc67982590de906eaa0ec466ebcba95f66605612e51b4d4026d8bc0f320")
 
 
 def test_diagrams_hooper_labels_and_arrow_names_are_unchanged():

@@ -342,6 +342,19 @@ def test_a_swapped_byte_label_fails_the_derivation_reference():
             tables[0] = real
 
 
+def test_the_record_keeps_each_permutation_once():
+    # sector i >= n reads the permutation of i - n, so the record holds n
+    for m, n in ((4, 3), (3, 4), (4, 4), (4, 7)):
+        perms = _table(m, n).perms
+        assert len(perms) == n
+        for i, perm in enumerate(perms):
+            if perm is None:
+                with pytest.raises(ValueError, match="no reflecting"):
+                    sector_permutation(m, n, i)
+            else:
+                assert perm == sector_permutation(m, n, i)
+
+
 def test_code_table_edges_are_unchanged():
     # admissible_in, derive (open and cyclic), derivative_sequence and
     # normalize, as the result or the exception's class and message, to the

@@ -247,6 +247,43 @@ def test_block_intervals_are_sure_at_both_ends(monkeypatch):
     assert misses == 0 and rejected > 1000
 
 
+def _piece_count_misses(drop_one=False):
+    # pieces of the block tables of L = 1, 2, 4 and 8 crossings against the
+    # law (mn - m - n) L + m, on 20 seeded directions of each of nine
+    # surfaces, with every piece that the end check of _square rejects;
+    # drop_one removes the first piece of polygon 0 from each L = 1 table
+    rng = random.Random(2010)
+    misses = checked = rejected = 0
+    for m, n in ((3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4), (3, 7),
+                 (4, 7), (7, 3)):
+        surf = build_surface(m, n)
+        for _ in range(20):
+            theta = rng.uniform(0, 2 * math.pi)
+            tables, _ = tracer._exit_tables(
+                surf, (math.cos(theta), math.sin(theta)))
+            blocks = [(guards, [step and ((step[0],), step[1], (step[2],))
+                                for step in steps])
+                      for guards, steps, _, _ in tables]
+            if drop_one:
+                guards, steps = blocks[0]
+                blocks[0] = guards[2:], steps[:1] + steps[3:]
+            for length in (1, 2, 4, 8):
+                if length > 1:
+                    blocks, count = tracer._square(blocks)
+                    rejected += count
+                pieces = sum(len(guards) // 2 for guards, _ in blocks)
+                checked += 1
+                misses += pieces != (m * n - m - n) * length + m
+    return misses, checked, rejected
+
+
+def test_block_tables_have_the_piece_count_of_the_law():
+    assert _piece_count_misses() == (0, 720, 0)
+    # negative control: one piece dropped from each single-step table
+    misses, checked, _ = _piece_count_misses(drop_one=True)
+    assert misses == checked
+
+
 def _vertex_threshold_misses():
     # starts 1e-3 behind the point at along-edge distance delta from a
     # vertex that two exit rows share, on either of the two edges: trace
