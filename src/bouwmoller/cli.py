@@ -289,6 +289,21 @@ DEPTH = 6  # derivatives taken of each traced window
 RECOGNITION_DEPTH, RECOGNITION_TOL = 25, 1e-6  # branch pairs, radians
 
 
+def _window(surf, rng, arc, tol):
+    """WINDOW crossings traced from an interior start in a direction drawn
+    in [0, arc): (direction, labels, None), or (direction, None, reason) to
+    redraw, "boundary" within tol of a sector bound or "vertex" on a
+    VertexHit."""
+    theta = rng.uniform(0, arc)
+    if sector_of(theta, surf.n, tol=tol)[1]:
+        return theta, None, "boundary"
+    start = _interior_point(surf, rng)
+    try:
+        return theta, trace(surf, start, theta, WINDOW).labels, None
+    except VertexHit:
+        return theta, None, "vertex"
+
+
 def check_traced_windows(m, n, trials=200, seed=7):
     """Deep derivability and itinerary agreement on the same traced windows.
 
@@ -303,15 +318,9 @@ def check_traced_windows(m, n, trials=200, seed=7):
     skipped = {"boundary": 0, "vertex": 0, "short": 0}
     done = failures = mismatches = ambiguous = checked = 0
     while done < trials:
-        theta = rng.uniform(0, 2 * math.pi)
-        if sector_of(theta, n, tol=1e-9)[1]:
-            skipped["boundary"] += 1
-            continue
-        start = _interior_point(surf, rng)
-        try:
-            labels = trace(surf, start, theta, WINDOW).labels
-        except VertexHit:
-            skipped["vertex"] += 1
+        theta, labels, redraw = _window(surf, rng, 2 * math.pi, 1e-9)
+        if redraw:
+            skipped[redraw] += 1
             continue
         try:
             seq = derivative_sequence(m, n, labels, DEPTH)
@@ -367,14 +376,8 @@ def check_geometric_oracle(m, n, trials=100, seed=7):
     narrowest = 1.0
     words = []
     while len(words) < trials:
-        theta = rng.uniform(0, math.pi / n)
-        if sector_of(theta, n, tol=1e-6)[1]:
-            redraws += 1
-            continue
-        start = _interior_point(surf, rng)
-        try:
-            labels = trace(surf, start, theta, WINDOW).labels
-        except VertexHit:
+        theta, labels, redraw = _window(surf, rng, math.pi / n, 1e-6)
+        if redraw:
             redraws += 1
             continue
         derived = derive(m, n, labels)
@@ -503,25 +506,46 @@ def check_periodic_fixed_points():
             "pairs_checked": len(pairs), "failures": failures}
 
 
+def _entries(name, check, *surface, **kwargs):
+    """The report entries of check(*surface, **kwargs); a check that raises
+    gives one entry, with "status": "error" and the exception as "error"."""
+    try:
+        out = check(*surface, **kwargs)
+    except Exception as exc:
+        entry = {"name": name, "status": "error",
+                 "error": f"{type(exc).__name__}: {exc}"}
+        if surface:
+            entry["surface"] = list(surface)
+        return [entry]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
 def run_verification(surfaces, seed=7, trials=None):
     """Run the acceptance checks; returns the report dict.
 
     trials, when given, replaces every randomized check's own trial count.
+    A check that raises fails the report with one error entry; the others
+    still run.
     """
     if trials is not None and not isinstance(trials, int):
         raise ValueError(f"trials must be an int, got {trials!r}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    counts = {} if trials is None else {"trials": trials}
-    checks = [check_derivation_golden(), check_substitution_goldens(),
-              check_permutation_goldens(), check_diagram_structure(),
-              check_moduli(), check_conjugacy(seed=seed, **counts),
-              check_periodic_fixed_points()]
+    kw = {"seed": seed} if trials is None else {"seed": seed, "trials": trials}
+    checks = [*_entries("derivation-golden", check_derivation_golden),
+              *_entries("substitution-goldens", check_substitution_goldens),
+              *_entries("permutation-goldens", check_permutation_goldens),
+              *_entries("diagram-structure", check_diagram_structure),
+              *_entries("moduli", check_moduli),
+              *_entries("substitution-conjugacy", check_conjugacy, **kw),
+              *_entries("periodic-fixed-points", check_periodic_fixed_points)]
     for (m, n) in surfaces:
-        checks.extend(check_traced_windows(m, n, seed=seed, **counts))
-        checks.append(check_geometric_oracle(m, n, seed=seed, **counts))
-        checks.append(check_generation_inverse(m, n, seed=seed, **counts))
-        checks.append(check_direction_recognition(m, n, seed=seed, **counts))
+        for name, check in (("traced-windows", check_traced_windows),
+                            ("geometric-oracle", check_geometric_oracle),
+                            ("generation-inverse", check_generation_inverse),
+                            ("direction-recognition",
+                             check_direction_recognition)):
+            checks += _entries(name, check, m, n, **kw)
     return {
         "seed": seed,
         "surfaces": [list(s) for s in surfaces],

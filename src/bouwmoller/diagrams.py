@@ -44,17 +44,14 @@ class TransitionDiagram:
                                 for a, b in arrow_alphabet(m, n).name_of_arrow)
         self.arrow_labels = dict(arrow_labels)
 
-    def _data(self):
+    def to_json(self, indent=None):
         data = {"m": self.m, "n": self.n, "sector": self.sector,
                 "grid": [list(r) for r in self.grid],
                 "arrows": sorted(list(a) for a in self.arrows)}
         if self.arrow_labels:
             data["arrow_labels"] = sorted([a, b, l] for (a, b), l
                                           in self.arrow_labels.items())
-        return data
-
-    def to_json(self, indent=None):
-        return _dumps(self._data(), indent)
+        return _dumps(data, indent)
 
     def to_dot(self):
         name = "derivation" if self.arrow_labels else "transitions"

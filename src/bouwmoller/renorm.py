@@ -62,9 +62,9 @@ def derivative_sequence(m, n, word, k):
         table = _table(mm, nn)
         codes = _word_codes(table, cur)
         mask = _word_mask(table, codes)
-        adm = [s for s in range(2 * nn) if mask >> s & 1]
-        ambiguous.append(len([s for s in adm if t == 0 or s < nn]) != 1)
-        sectors.append(i := min(adm, default=None))
+        among = mask if t == 0 else mask & ((1 << nn) - 1)  # upward after t = 0
+        ambiguous.append(among.bit_count() != 1)
+        sectors.append(i := (mask & -mask).bit_length() - 1 if mask else None)
         if t == k or len(cur) < 2:
             break
         if i is None:

@@ -59,9 +59,9 @@ class Polygon:
         self.b = b
         pts = [(0.0, 0.0)]
         for i in range(2 * n):
-            vx, vy = self.edge_vector(i)
+            r, ang = self.edge_length(i), i * math.pi / n
             px, py = pts[-1]
-            pts.append((px + vx, py + vy))
+            pts.append((px + r * math.cos(ang), py + r * math.sin(ang)))
         if math.hypot(pts[-1][0], pts[-1][1]) >= 1e-9 * (1 + a + b):
             raise NonPositiveShape(f"side lengths a={a}, b={b} do not close "
                                    f"a {2 * n}-gon")
@@ -70,11 +70,6 @@ class Polygon:
 
     def edge_length(self, i):
         return self.a if i % 2 == 0 else self.b
-
-    def edge_vector(self, i):
-        r = self.edge_length(i)
-        ang = i * math.pi / self.n
-        return r * math.cos(ang), r * math.sin(ang)
 
     def edge(self, i):
         return self.vertices[i], self.vertices[(i + 1) % (2 * self.n)]

@@ -4,6 +4,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 
 from .surface import build_surface
 
@@ -115,14 +116,14 @@ def _exit_rows(surf, d):
 
 
 def _exit_tables(surf, d):
-    """Per polygon (guards, steps, hs, rows), and the rows by label.  rows,
-    the polygon's _exit_rows sorted by h(a) in hs, tile its h-range, and
+    """Per polygon (guards, steps, rows), and the rows by label.  rows, the
+    polygon's _exit_rows sorted by h(a), tile its h-range, and
     steps[bisect_right(guards, h)] is a row's (label, polygon entered, shift)
     if h is 2 EPS_GEO or more along its edge from both ends, else None."""
     polygons, by_label = _exit_rows(surf, d)
     tables = []
     for rows in polygons:
-        rows.sort(key=lambda row: row[0])
+        rows.sort(key=itemgetter(0))
         guards, steps = [], [None]
         for ha, hb, scale, label, k2, shift, _ in rows:
             margin = 2 * EPS_GEO / scale
@@ -130,7 +131,7 @@ def _exit_tables(surf, d):
             hi = math.nextafter(hb - margin, -math.inf)
             guards += lo, (hi if hi > lo else lo)
             steps += (label, k2, shift), None
-        tables.append((guards, steps, [row[0] for row in rows], rows))
+        tables.append((guards, steps, rows))
     return tables, by_label
 
 
@@ -186,10 +187,10 @@ def _walk(tables, k, h, count, labels):
     Off the guards, the exact test of vertex distances (h - h(a)) |e|/den
     and (h(b) - h) |e|/den."""
     for _ in range(count):
-        guards, steps, hs, rows = tables[k]
+        guards, steps, rows = tables[k]
         step = steps[bisect_right(guards, h)]
         if step is None:
-            j = max(bisect_right(hs, h) - 1, 0)
+            j = max(bisect_right(rows, h, key=itemgetter(0)) - 1, 0)
             ha, hb, scale, *_ = row = rows[j]
             if (h - ha) * scale < EPS_GEO or (hb - h) * scale < EPS_GEO:
                 raise VertexHit(f"hit vertex of edge {row[6][1]} at "
@@ -231,15 +232,15 @@ def trace(surf, start, direction, max_crossings):
     dx, dy = d = (math.cos(direction), math.sin(direction))
     tables, by_label = _exit_tables(surf, d)
     h0 = h = dx * py - dy * px
-    *_, hs, rows = tables[k]
-    j = max(bisect_right(hs, h) - 1, 0)
+    rows = tables[k][2]
+    j = max(bisect_right(rows, h, key=itemgetter(0)) - 1, 0)
     *_, ax, ay, ex, ey, _, _, den, _, _ = rows[j][6]
     if ((ax - px) * ey - (ay - py) * ex) / den <= 0:
         raise VertexHit("no exit edge (degenerate or boundary-parallel ray)")
     labels = []
     if max_crossings >= BLOCK_MIN:
         blocks = [(guards, [s and ((s[0],), s[1], (s[2],)) for s in steps])
-                  for guards, steps, _, _ in tables]
+                  for guards, steps, _ in tables]
         for _ in range(3):
             blocks, _ = _square(blocks)
         for _ in range(max_crossings // 8):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bouwmoller import build_surface, start_through, trace
+from bouwmoller import build_surface, cli, start_through, trace
 from bouwmoller.cli import (_parse_angle, _parse_start, _parse_word, main,
                             run_verification)
 from bouwmoller.farey import itinerary
@@ -463,6 +463,28 @@ def test_run_verification_takes_int_trials(trials):
     # and a TypeError out of range() in check_conjugacy
     with pytest.raises(ValueError, match=r"^trials must be an int, got "):
         run_verification([(4, 3)], trials=trials)
+
+
+def test_a_check_that_raises_is_one_error_entry(monkeypatch, capsys):
+    # a check that raises, as generation_diagram does on a broken table,
+    # is reported as an error, and the other checks still run
+    def broken(*args):
+        raise RuntimeError("no interpolating path")
+
+    monkeypatch.setattr(cli, "generate", broken)
+    report = run_verification([(4, 3)], trials=2)
+    errors = [c for c in report["checks"] if c["status"] != "pass"]
+    assert errors == [
+        {"name": "substitution-conjugacy", "status": "error",
+         "error": "RuntimeError: no interpolating path"},
+        {"name": "generation-inverse", "surface": [4, 3], "status": "error",
+         "error": "RuntimeError: no interpolating path"}]
+    assert len(report["checks"]) == 12 and report["status"] == "fail"
+    capsys.readouterr()
+    assert main(["verify", "-m", "4", "-n", "3", "--trials", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "fail"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

@@ -75,6 +75,8 @@ def test_the_cli_states_its_writer_and_its_gate_once():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _callers(tree, "_dumps") == {"_emit"}
     assert _callers(tree, "_require_renorm_params") == {"main", "cmd_verify"}
+    # both window checks draw their direction, start and window in _window
+    assert _callers(tree, "_interior_point") == {"_window"}
 
 
 def test_renorm_holds_no_word_coding():

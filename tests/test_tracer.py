@@ -210,7 +210,7 @@ def _block_endpoint_misses():
                     surf, (math.cos(theta), math.sin(theta)))
                 blocks = [(guards, [step and ((step[0],), step[1],
                                               (step[2],)) for step in steps])
-                          for guards, steps, _, _ in tables]
+                          for guards, steps, _ in tables]
                 for _ in range(3):
                     blocks, count = tracer._square(blocks)
                     rejected += count
@@ -221,7 +221,7 @@ def _block_endpoint_misses():
                         for h in (a, math.nextafter(b, -math.inf)):
                             walked, k2, h2 = [], k, h
                             for _ in range(8):
-                                guards1, steps1, _, _ = tables[k2]
+                                guards1, steps1, _ = tables[k2]
                                 step = steps1[bisect_right(guards1, h2)]
                                 if step is None:
                                     break
@@ -263,7 +263,7 @@ def _piece_count_misses(drop_one=False):
                 surf, (math.cos(theta), math.sin(theta)))
             blocks = [(guards, [step and ((step[0],), step[1], (step[2],))
                                 for step in steps])
-                      for guards, steps, _, _ in tables]
+                      for guards, steps, _ in tables]
             if drop_one:
                 guards, steps = blocks[0]
                 blocks[0] = guards[2:], steps[:1] + steps[3:]
@@ -671,4 +671,5 @@ def test_window_length_matches_request(theta, label):
     except VertexHit:
         return
     assert len(word) == 25
+    assert list(word) == word.labels
     assert len(word.crossings) == 25
