@@ -186,7 +186,7 @@ def _contains(haystack, needle):
     return f",{','.join(map(str, needle))}," in f",{','.join(map(str, haystack))},"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _t0_successors(m, n):
     """Letters of T_0 of M(m,n) -> their successors, both in sorted order."""
     arrows = sorted(build_T0(m, n).arrows)

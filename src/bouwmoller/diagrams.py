@@ -4,7 +4,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import getitem
 
-from .surface import _dumps, side_seats
+from .surface import _check_pair, _dumps, side_seats
 
 
 class NotAdmissible(ValueError):
@@ -16,7 +16,9 @@ class NotChained(ValueError):
 
 
 def t0_grid(m, n):
-    """Snake numbering of the n(m-1) side labels, row by row."""
+    """Snake numbering of the n(m-1) side labels, row by row.  Raises
+    NonPositiveShape for an m or n that is no int or below 2."""
+    _check_pair(m, n)
     rows = []
     for r in range(1, m):
         row = tuple(range((r - 1) * n + 1, r * n + 1))
@@ -93,7 +95,7 @@ def build_D0(m, n):
     return TransitionDiagram(m, n, 0, grid, labels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sector_permutation(m, n, i):
     """Side permutation normalizing sector-i trajectories to sector 0.
 
@@ -111,8 +113,10 @@ def sector_permutation(m, n, i):
     kept.  Raises ValueError when neither map works, which happens in the
     even nonzero sectors whenever m and n are both even.  Sectors are
     0..n-1: a sector n <= i < 2n is sector i - n read backwards, as
-    normalize applies it.
+    normalize applies it.  Raises NonPositiveShape for an m or n that is
+    no int or below 2.
     """
+    _check_pair(m, n)
     if not 0 <= i <= n - 1:
         raise ValueError(f"sector {i} out of range 0..{n - 1}")
     labels = range(1, n * (m - 1) + 1)
@@ -143,7 +147,7 @@ def sector_permutation(m, n, i):
 _Table = namedtuple("_Table", "code masks full arrows sides perms steps translates")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _table(m, n):
     """Transition table of M(m,n), the one record per surface that
     admissibility, normalization and derivation read.  code[a][b] is the
@@ -322,6 +326,6 @@ class ArrowAlphabet:
         return names
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def arrow_alphabet(m, n):
     return ArrowAlphabet(m, n)

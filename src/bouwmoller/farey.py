@@ -6,6 +6,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
+from .surface import _check_pair
 from .tracer import sector_of
 
 EPS_DYN = 1e-12
@@ -23,19 +24,21 @@ class NoConvergence(Exception):
     """Nested inverse branches failed to shrink below tolerance."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma(m, n):
     """Linear part of the flip-and-shear map from M(m,n) to M(n,m).
 
     It factors as a flip, a shear, a similarity and a dual shear, in turn.
+    Raises NonPositiveShape for an m or n that is no int or below 2.
     """
+    _check_pair(m, n)
     sm, sn = math.sin(math.pi / m), math.sin(math.pi / n)
     cm, cn = math.cos(math.pi / m), math.cos(math.pi / n)
     return ((-math.sqrt(sn / sm), (cm + cn) / math.sqrt(sm * sn)),
             (0.0, math.sqrt(sm / sn)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def reflection(m, n, i):
     """Matrix of the reflection taking sector i of M(m,n) to sector 0."""
     if not 0 <= i <= 2 * n - 1:
@@ -80,7 +83,7 @@ def _angle(v):
     return math.atan2(v[1], v[0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _step_data(m, n):
     """The entries of gamma(m, n), pi/m, pi/(2m), and the half-step's sector
     table: at each quotient psi // (pi/m) that an angle psi in [pi/(2m),
@@ -166,10 +169,11 @@ def _branch_matrix(m, n, a, b):
                      reflection(n, m, a)), gamma(m, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _inverse_branches(m, n):
     """Entries (p, q, r, s) of the adjugate of the branch matrix of each
     branch pair (a, b), at [a][b]; index 0 is no branch."""
+    _check_pair(m, n)
     return tuple(tuple(sum(_adj(_branch_matrix(m, n, a, b)), ()) if a and b else None
                        for b in range(n)) for a in range(m))
 

@@ -12,7 +12,7 @@ tests/test_hooper.py.
 
 import math
 
-from .diagrams import t0_grid
+from .diagrams import _check_pair, t0_grid
 
 
 def is_white(node):
@@ -25,9 +25,9 @@ class HooperDiagram:
     def __init__(self, m, n):
         self.m = m
         self.n = n
+        self.h_grid, self.v_grid = t0_grid(m, n), t0_grid(n, m)
         self.h_edges = [("H", i, j) for i in range(m + 1) for j in range(1, n + 1)]
         self.v_edges = [("V", i, j) for i in range(1, m + 1) for j in range(n + 1)]
-        self.h_grid, self.v_grid = t0_grid(m, n), t0_grid(n, m)
 
     def edges(self):
         return self.h_edges + self.v_edges
@@ -77,7 +77,9 @@ def build_hooper(m, n):
 
 
 def widths(m, n):
-    """Critical eigenfunction w(i,j) = sin(i pi/m) sin(j pi/n) per node."""
+    """Critical eigenfunction w(i,j) = sin(i pi/m) sin(j pi/n) per node.
+    Raises NonPositiveShape for an m or n that is no int or below 2."""
+    _check_pair(m, n)
     return {(i, j): math.sin(i * math.pi / m) * math.sin(j * math.pi / n)
             for i in range(m + 1) for j in range(n + 1)}
 

@@ -76,7 +76,7 @@ def derivative_sequence(m, n, word, k):
     return words, sectors, ambiguous
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generation_diagram(m, n, i):
     """Interpolation data for the arrows of T_i of M(m,n), 1 <= i <= n-1.
 
@@ -115,7 +115,7 @@ def generation_diagram(m, n, i):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _generation_steps(m, n, i):
     """generate in sector i as one nested table: steps[x][y] of a T_0
     transition (x, y) of M(n,m) is (tail of A, vertices, head of B) for the
@@ -170,7 +170,7 @@ def generate(m, n, i, word):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pseudo_substitution(m, n, i):
     """Arrow-level generation: names of U of M(m,n) to words over U of M(n,m).
 

@@ -9,6 +9,14 @@ class NonPositiveShape(ValueError):
     """Raised when side lengths give no semi-regular polygon with a positive side."""
 
 
+def _check_pair(m, n):
+    """Raise NonPositiveShape, naming the pair, unless m and n are ints of
+    at least 2: every record of the package is built for such a pair."""
+    if not (isinstance(m, int) and isinstance(n, int)) or m < 2 or n < 2:
+        raise NonPositiveShape(f"m and n must be ints of at least 2, "
+                               f"got ({m!r}, {n!r})")
+
+
 def polygon_params(m, n, k):
     """Side lengths (even class, odd class) of polygon k of M(m,n)."""
     # snap the end polygons' vanishing sides to exact zero so degenerate
@@ -116,7 +124,8 @@ class Polygon:
 class Surface:
     """M(m,n): a horizontal chain of m semi-regular 2n-gons glued edge to edge.
 
-    Defined for m >= 2 and n >= 3; other parameters raise NonPositiveShape.
+    Defined for ints m >= 2 and n >= 3; other parameters raise
+    NonPositiveShape.
 
     Sides are labeled 1..n(m-1); the sides between polygons r-1 and r form
     row r and are numbered in the zigzag order induced by rays alternating
@@ -130,7 +139,8 @@ class Surface:
     """
 
     def __init__(self, m, n):
-        if m < 2 or n < 3:
+        _check_pair(m, n)
+        if n < 3:
             raise NonPositiveShape(f"need m >= 2 and n >= 3, got ({m}, {n})")
         self.m = m
         self.n = n
@@ -231,17 +241,7 @@ def _dumps(obj, indent=None):
                       ensure_ascii=False)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_surface(m, n):
-    """M(m,n), built once and shared: read-only; Surface(m, n) is a copy.
-
-    Raises NonPositiveShape for an m or n that is no int before the cache
-    is consulted, where 4.0 would find M(4, n); see Surface for the rest."""
-    for v in (m, n):
-        if not isinstance(v, int):
-            raise NonPositiveShape(f"m and n must be ints, got {v!r}")
-    return _shared_surface(m, n)
-
-
-@lru_cache(maxsize=None)
-def _shared_surface(m, n):
+    """M(m,n), built once and shared: read-only; Surface(m, n) is a copy."""
     return Surface(m, n)

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -523,3 +525,21 @@ def test_main_returns_exit_codes():
     assert main(["surface", "-m", "1", "-n", "3"]) == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def _checks_without_a_row(names):
+    """The names of names that no row of README's "What is checked" table
+    gives in backquotes."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## What is checked\n", 1)[1].split("\n## ", 1)[0]
+    named = {name for line in section.splitlines() if line.startswith("| ")
+             for name in re.findall(r"`([^`]+)`", line)}
+    return [name for name in names if name not in named]
+
+
+def test_every_verify_check_has_a_row_in_what_is_checked():
+    # a new criterion cannot land without saying which claim it checks
+    report = run_verification([(4, 3)], trials=1)
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == 12 and _checks_without_a_row(names) == []
+    assert _checks_without_a_row(names + ["unlisted-check"]) == ["unlisted-check"]

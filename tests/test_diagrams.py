@@ -15,7 +15,7 @@ from bouwmoller.diagrams import (NotAdmissible, NotChained, admissible_in,
                                  arrow_alphabet, build_D0, build_T0,
                                  build_Ti, sector_permutation, t0_grid)
 from bouwmoller.hooper import build_hooper
-from bouwmoller.surface import Surface, _shared_surface, build_surface
+from bouwmoller.surface import Surface, build_surface
 from bouwmoller.tracer import VertexHit, sector_of, start_through, trace
 
 SMALL = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 5), (5, 4)]
@@ -322,7 +322,7 @@ def test_sector_permutations_build_no_surface(monkeypatch):
     monkeypatch.setattr(Surface, "__init__", no_build)
     for cached in (sector_permutation, renorm.generation_diagram,
                    renorm._generation_steps, renorm.pseudo_substitution,
-                   _shared_surface):
+                   build_surface):
         cached.cache_clear()
     for i in range(4):
         try:

@@ -7,7 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bouwmoller
+from bouwmoller.diagrams import (admissible_in, arrow_alphabet, build_D0,
+                                 build_T0, sector_permutation, t0_grid)
+from bouwmoller.farey import (direction_from_itinerary, gamma, itinerary,
+                              subsectors)
+from bouwmoller.hooper import build_hooper, moduli
+from bouwmoller.renorm import derive, generate, generation_diagram, normalize
+from bouwmoller.surface import build_surface
 
 
 def test_star_import_resolves_every_export():
@@ -125,3 +134,90 @@ def test_the_cli_imports_without_dataclasses():
                        text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def _modules():
+    names = [info.name for info in pkgutil.iter_modules(bouwmoller.__path__)]
+    return [importlib.import_module(f"bouwmoller.{name}") for name in names]
+
+
+def test_every_cache_keys_on_exact_types():
+    # with typed keys a call with 4.0 never reads the entry of a call with
+    # 4, so every call takes the path a cold cache would take
+    cached, untyped = set(), []
+    for module in _modules():
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for deco in getattr(node, "decorator_list", ()):
+                func = getattr(deco, "func", deco)
+                if "lru_cache" not in (getattr(func, "id", None),
+                                       getattr(func, "attr", None)):
+                    continue
+                cached.add(node.name)
+                keywords = {k.arg: getattr(k.value, "value", None)
+                            for k in getattr(deco, "keywords", ())}
+                if keywords.get("typed") is not True:
+                    untyped.append(f"{module.__name__}.{node.name}")
+    assert "build_surface" in cached and "_table" in cached
+    assert untyped == []
+
+
+def _clear_caches():
+    for module in _modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+# a call with m = 4.0 for each function that reaches a per-surface cache:
+# its outcome must not depend on whether M(4,3)'s entry is cached
+FLOAT_CALLS = {
+    "sector_permutation": lambda m: sector_permutation(m, 3, 1),
+    "arrow_alphabet": lambda m: arrow_alphabet(m, 3),
+    "admissible_in": lambda m: admissible_in(m, 3, [1, 2]),
+    "generation_diagram": lambda m: generation_diagram(m, 3, 1),
+    "normalize": lambda m: normalize(m, 3, [1, 2, 3]),
+    "derive": lambda m: derive(m, 3, [1, 2, 3]),
+    "generate": lambda m: generate(m, 3, 1, [1, 2, 3, 4]),
+    "itinerary": lambda m: itinerary(m, 3, 0.35, 4),
+    "direction_from_itinerary":
+        lambda m: direction_from_itinerary(m, 3, 0, [(1, 1)], tol=10.0),
+}
+
+
+# (call out of the domain, a call in it that fills the same caches)
+OUT_OF_DOMAIN = {
+    "build_T0(1, 5)": (lambda: build_T0(1, 5), lambda: build_T0(4, 5)),
+    "arrow_alphabet(0, 3)": (lambda: arrow_alphabet(0, 3),
+                             lambda: arrow_alphabet(4, 3)),
+    "build_D0(4, 0)": (lambda: build_D0(4, 0), lambda: build_D0(4, 3)),
+    "gamma(0, 3)": (lambda: gamma(0, 3), lambda: gamma(4, 3)),
+    "gamma(1, 3)": (lambda: gamma(1, 3), lambda: gamma(4, 3)),
+    "subsectors(0, 3)": (lambda: subsectors(0, 3), lambda: subsectors(4, 3)),
+    "moduli(0, 3)": (lambda: moduli(0, 3), lambda: moduli(4, 3)),
+    "itinerary(0, 3, 0.1, 1)": (lambda: itinerary(0, 3, 0.1, 1),
+                                lambda: itinerary(4, 3, 0.1, 1)),
+    "t0_grid(4.0, 3)": (lambda: t0_grid(4.0, 3), lambda: t0_grid(4, 3)),
+    "gamma(4.0, 3)": (lambda: gamma(4.0, 3), lambda: gamma(4, 3)),
+    "moduli(4, 3.0)": (lambda: moduli(4, 3.0), lambda: moduli(4, 3)),
+    "build_surface(4.0, 3)": (lambda: build_surface(4.0, 3),
+                              lambda: build_surface(4, 3)),
+    "build_hooper(4.0, 3)": (lambda: build_hooper(4.0, 3),
+                             lambda: build_hooper(4, 3)),
+    **{f"{name}(4.0, ...)": (lambda c=call: c(4.0), lambda c=call: c(4))
+       for name, call in FLOAT_CALLS.items()},
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_DOMAIN)
+def test_parameters_out_of_the_domain_raise_value_error(name):
+    # an m or n that is no int or below 2 raises ValueError naming the
+    # pair, where the record is first built, on a cold cache and after the
+    # call in the domain has filled it
+    bad, good = OUT_OF_DOMAIN[name]
+    _clear_caches()
+    with pytest.raises(ValueError, match=r"got \("):
+        bad()
+    good()
+    with pytest.raises(ValueError, match=r"got \("):
+        bad()
