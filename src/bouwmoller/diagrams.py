@@ -101,18 +101,17 @@ def sector_permutation(m, n, i):
 
     The normalizing affine map reflects directions across the line at angle
     (i+1)pi/(2n).  It reflects each polygon k about its own centre across
-    that line and then translates the image onto polygon k, or onto polygon
-    m-1-k when it reverses the chain.  The reflection turns edge e, of
-    direction e*pi/n, into edge i+1+n-e (mod 2n) of the image polygon.
-    Side s goes to side t when each seat of s lands on a seat of t, and the
-    result must send row r to row r (to row m - r when n - i is even).  Each
-    of the two polygon maps that gives such a bijection is a candidate.
-    For m = 2 and n even both do in every sector that has a normalization:
-    the central symmetry of the surface fixes the single row, no cutting
+    that line and translates the image onto polygon k, or onto polygon
+    m-1-k when n - i is even: a side of row r sits in polygons r-1 and r,
+    so row r goes to row r, or to row m - r.  The reflection turns edge e,
+    of direction e*pi/n, into edge i+1+n-e (mod 2n) of the image polygon,
+    and side s goes to side t when each seat of s lands on a seat of t.
+    On M(2, n) both polygon maps fix the single row, and for n even both
+    give a bijection in every sector that has a normalization: no cutting
     sequence can tell the two apart, and the lexicographically smallest is
-    kept.  Raises ValueError when neither map works, which happens in the
-    even nonzero sectors whenever m and n are both even.  Sectors are
-    0..n-1: a sector n <= i < 2n is sector i - n read backwards, as
+    kept.  Raises ValueError when no map gives a bijection, which happens
+    in the even nonzero sectors whenever m and n are both even.  Sectors
+    are 0..n-1: a sector n <= i < 2n is sector i - n read backwards, as
     normalize applies it.  Raises NonPositiveShape for an m or n that is
     no int or below 2.
     """
@@ -123,22 +122,22 @@ def sector_permutation(m, n, i):
     if i == 0:
         return {s: s for s in labels}
     seat_label = {seat: s for s in labels for seat in side_seats(m, n, s)}
-    row = {s: (s - 1) // n + 1 for s in labels}
-    want_row = {s: m - r if (n - i) % 2 == 0 else r for s, r in row.items()}
 
-    def side_map(image):
-        # the side bijection induced by sending polygon k to image(k), or None
+    def side_map(flip):
+        # the side bijection induced by sending polygon k to m-1-k when
+        # flip, else to k, or None
         perm = {}
         for (k, e), s in seat_label.items():
-            t = seat_label.get((image(k), (i + 1 + n - e) % (2 * n)))
+            seat = (m - 1 - k if flip else k, (i + 1 + n - e) % (2 * n))
+            t = seat_label.get(seat)
             if t is None or perm.setdefault(s, t) != t:
                 return None
-        if (sorted(perm.values()) != list(labels)
-                or any(row[perm[s]] != want_row[s] for s in labels)):
+        if sorted(perm.values()) != list(labels):
             return None
         return {s: perm[s] for s in labels}
 
-    candidates = [p for p in map(side_map, (lambda k: k, lambda k: m - 1 - k)) if p]
+    flips = (False, True) if m == 2 else ((n - i) % 2 == 0,)
+    candidates = [p for p in map(side_map, flips) if p]
     if not candidates:
         raise ValueError(f"sector {i} of M({m},{n}) has no reflecting normalization")
     return min(candidates, key=lambda p: [p[s] for s in labels])

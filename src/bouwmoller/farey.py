@@ -40,7 +40,9 @@ def gamma(m, n):
 
 @lru_cache(maxsize=None, typed=True)
 def reflection(m, n, i):
-    """Matrix of the reflection taking sector i of M(m,n) to sector 0."""
+    """Matrix of the reflection taking sector i of M(m,n) to sector 0.
+    Raises NonPositiveShape for an m or n that is no int or below 2."""
+    _check_pair(m, n)
     if not 0 <= i <= 2 * n - 1:
         raise ValueError(f"sector {i} out of range 0..{2 * n - 1}")
     if i == 0:

@@ -49,7 +49,11 @@ def derivative_sequence(m, n, word, k):
     sectors for the input word, whose direction may point anywhere, and
     among the upward sectors for its derivatives.  A word of fewer than
     two letters has no derivative, so the sequence stops there, with fewer
-    than k+1 stages.  Raises ValueError for a k that is no int or below 0.
+    than k+1 stages.  Each stage derives in its smallest sector, which
+    after an ambiguous stage may be the wrong one, so a later stage that no
+    sector admits ends the sequence there, with sector None; with no
+    ambiguous stage before it, such a stage raises NotAdmissible.  Raises
+    ValueError for a k that is no int or below 0.
     """
     if not isinstance(k, int):
         raise ValueError(f"need an int k >= 0, got {k!r}")
@@ -65,7 +69,7 @@ def derivative_sequence(m, n, word, k):
         among = mask if t == 0 else mask & ((1 << nn) - 1)  # upward after t = 0
         ambiguous.append(among.bit_count() != 1)
         sectors.append(i := (mask & -mask).bit_length() - 1 if mask else None)
-        if t == k or len(cur) < 2:
+        if t == k or len(cur) < 2 or (i is None and any(ambiguous[:-1])):
             break
         if i is None:
             raise NotAdmissible(f"word admissible in no sector of M({mm},{nn})")

@@ -13,7 +13,6 @@ import pytest
 
 from bouwmoller import build_surface, cli, renorm
 from bouwmoller.diagrams import sector_permutation
-from bouwmoller.tracer import _cylinder
 
 SMALL = list(cli.SMALL_SET)
 DUAL_PAIR = [(4, 3), (3, 4)]
@@ -29,7 +28,7 @@ def timed(check, *args, **kwargs):
 def report(k, result, runtime=None, budget=None):
     ok = result["status"] == "pass"
     extra = {key: val for key, val in result.items()
-             if key not in ("name", "status") and not key.startswith("_")}
+             if key not in ("name", "status")}
     line = f"criterion {k}: {'PASS' if ok else 'FAIL'} {result['name']} {extra}"
     print(line)
     assert ok, line
@@ -80,27 +79,36 @@ def test_criterion_07_sector_sequences_match_itineraries(traced_windows):
         report(7, traced_windows[(m, n)][0][1])
 
 
-@pytest.fixture(scope="module")
-def oracle_results():
-    return {(m, n): timed(cli.check_geometric_oracle, m, n, trials=100)
-            for m, n in SMALL}
-
-
-def test_criterion_08_derivation_against_traced_dual_words(oracle_results):
+def test_criterion_08_derivation_against_traced_dual_words():
     for m, n in SMALL:
-        report(8, *oracle_results[(m, n)], budget=20.0)
+        report(8, *timed(cli.check_geometric_oracle, m, n, trials=100),
+               budget=20.0)
 
 
-def test_criterion_08_rejects_corrupted_words(oracle_results):
-    """Negative control: one changed letter empties the cylinder interval."""
+def test_criterion_08_rejects_corrupted_words(monkeypatch):
+    """Negative control: with one letter of each derived word changed, the
+    cylinder interval of every trial is empty and every trial fails."""
+    real_derive, real_cylinder = cli.derive, cli._cylinder
     for m, n in SMALL:
         dual = build_surface(n, m)
         rng = random.Random(f"corrupt:{m}:{n}")
-        for image, word in oracle_results[(m, n)][0]["_words"]:
-            bad = list(word)
+        intervals = []
+
+        def corrupt(m, n, word):
+            bad = real_derive(m, n, word)
             i = rng.randrange(len(bad))
             bad[i] = rng.choice([x for x in dual.labels if x != bad[i]])
-            assert _cylinder(dual, bad, image) is None, (m, n, i, bad)
+            return bad
+
+        def spy(surf, word, theta):
+            intervals.append(real_cylinder(surf, word, theta))
+            return intervals[-1]
+
+        monkeypatch.setattr(cli, "derive", corrupt)
+        monkeypatch.setattr(cli, "_cylinder", spy)
+        result = cli.check_geometric_oracle(m, n, trials=100)
+        assert result["failures"] == result["trials"] == 100, (m, n, result)
+        assert intervals == [None] * 100, (m, n)
 
 
 def test_criterion_09_generation_inverts_derivation():
@@ -211,8 +219,8 @@ NEGATIVE_CONTROLS = [
 @pytest.mark.parametrize("name, breaker, check", NEGATIVE_CONTROLS,
                          ids=[c[0] for c in NEGATIVE_CONTROLS])
 def test_each_check_fails_on_a_broken_copy(name, breaker, check, monkeypatch):
-    """Negative control for every criterion but 8, which has its own: the
-    check passes, then fails with one name it looks up in cli broken."""
+    """Negative control for every criterion but 8, which has its own above:
+    the check passes, then fails with one name it looks up in cli broken."""
     assert check()["status"] == "pass"
     monkeypatch.setattr(cli, name, breaker(getattr(cli, name)))
     assert check()["status"] == "fail"

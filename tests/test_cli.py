@@ -403,6 +403,32 @@ def test_recognize_derives_only_as_deep_as_the_word_allows():
     assert "before any whole branch pair" in r.stderr
 
 
+def test_recognize_reports_an_ambiguous_stage_not_an_absent_word():
+    # this traced word reads in sectors 2 and 6 of M(3,4); derived in
+    # sector 2 its derivative is admissible nowhere, but the word occurs
+    r = run_cli("trace", "-m", "3", "-n", "4", "--theta", "4.775914736533735",
+                "--start", "1:2.7787206661460138,0.07557806142078664",
+                "--crossings", "16")
+    assert r.returncode == 0
+    word = r.stdout.strip()
+    assert word == "4,2,4,2,4,2,4,2,4,1,3,1,3,1,3,1"
+    r = run_cli("recognize", "-m", "3", "-n", "4", "--word", word)
+    assert r.returncode == 2
+    assert r.stderr == ("error: derivation stage 0 has ambiguous sectors, "
+                        "before any whole branch pair\n")
+
+
+def test_traced_windows_quarantine_a_derivation_past_an_ambiguous_stage():
+    # one of these windows of M(3,5) reads in two sectors at stage 0, and
+    # derived in the lower one its derivative is admissible nowhere: an
+    # ambiguous trial, not a derivability failure and not a short window
+    derivability, agreement = cli.check_traced_windows(3, 5, trials=364,
+                                                       seed=0)
+    assert derivability["status"] == agreement["status"] == "pass"
+    assert derivability["skipped"]["short"] == 0
+    assert agreement["ambiguous_quarantined"] == 19
+
+
 def test_farey_warns_where_the_double_stops_determining_the_itinerary(capsys):
     # itinerary(4, 3, 0.35, 200) and those of both neighbouring doubles of
     # 0.35 first differ at pair 17; stdout keeps all 200 pairs

@@ -13,7 +13,7 @@ import bouwmoller
 from bouwmoller.diagrams import (admissible_in, arrow_alphabet, build_D0,
                                  build_T0, sector_permutation, t0_grid)
 from bouwmoller.farey import (direction_from_itinerary, gamma, itinerary,
-                              subsectors)
+                              reflection, subsectors)
 from bouwmoller.hooper import build_hooper, moduli
 from bouwmoller.renorm import derive, generate, generation_diagram, normalize
 from bouwmoller.surface import build_surface
@@ -193,6 +193,10 @@ OUT_OF_DOMAIN = {
     "build_D0(4, 0)": (lambda: build_D0(4, 0), lambda: build_D0(4, 3)),
     "gamma(0, 3)": (lambda: gamma(0, 3), lambda: gamma(4, 3)),
     "gamma(1, 3)": (lambda: gamma(1, 3), lambda: gamma(4, 3)),
+    "reflection(0, 3, 1)": (lambda: reflection(0, 3, 1),
+                            lambda: reflection(4, 3, 1)),
+    "reflection(4.0, 3, 1)": (lambda: reflection(4.0, 3, 1),
+                              lambda: reflection(4, 3, 1)),
     "subsectors(0, 3)": (lambda: subsectors(0, 3), lambda: subsectors(4, 3)),
     "moduli(0, 3)": (lambda: moduli(0, 3), lambda: moduli(4, 3)),
     "itinerary(0, 3, 0.1, 1)": (lambda: itinerary(0, 3, 0.1, 1),
