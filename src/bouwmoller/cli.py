@@ -23,7 +23,7 @@ from .hooper import build_hooper, moduli
 from .renorm import (derivative_sequence, derive, fixed_point_form, generate,
                      normalize, pseudo_substitution, substitution, tr_operator,
                      tr_operator_inverse)
-from .surface import _dumps, build_surface
+from .surface import _dumps, _svg, build_surface
 from .tracer import (NotCoAdjacent, VertexHit, _cylinder, realize_periodic,
                      sector_of, start_through, trace)
 
@@ -112,7 +112,7 @@ def _emit(args, name, content):
     """Write an artifact under the output directory, or print it when none
     is given; content other than text is written as canonical JSON."""
     text = content if isinstance(content, str) else _dumps(content, indent=2)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name)
         with open(path, "w", encoding="utf-8") as fh:
@@ -125,7 +125,7 @@ def _emit(args, name, content):
 def _print_word(args, word, name, record):
     """Print the word; with --out, also write the record that record() builds."""
     print(",".join(str(x) for x in word))
-    if args.out:
+    if args.out is not None:
         _emit(args, name, record())
 
 
@@ -576,11 +576,11 @@ def cmd_surface(args):
 def cmd_trace(args):
     if args.crossings < 1:
         raise SystemExit2(f"--crossings must be at least 1, got {args.crossings}")
-    if args.svg and not args.out:
+    if args.svg and args.out is None:
         raise SystemExit2("trace --svg needs --out")
     surf = build_surface(args.m, args.n)
     theta = _parse_angle(args.theta)
-    if args.start:
+    if args.start is not None:
         start = _parse_start(args.start)
         k, p = start
         if not (0 <= k < args.m and surf.polygons[k].contains(p)):
@@ -623,7 +623,7 @@ def cmd_generate(args):
 
 
 def cmd_subst(args):
-    if args.word and args.out:
+    if args.word is not None and args.out is not None:
         raise SystemExit2("subst --word prints its image; --out is for the table")
     if args.j is None:
         table = pseudo_substitution(args.m, args.n, args.i)
@@ -631,7 +631,7 @@ def cmd_subst(args):
     else:
         table = substitution(args.m, args.n, args.i, args.j)
         kind = "substitution"
-    if not args.word:
+    if args.word is None:
         _emit(args, "substitution.json", {
             "m": args.m, "n": args.n, "i": args.i, "j": args.j, "kind": kind,
             "table": {k: list(v) for k, v in table.items()}})
@@ -652,7 +652,7 @@ def cmd_farey(args):
     if args.depth is not None and args.depth < 1:
         raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
     if args.theta is not None:
-        if args.out or args.svg:
+        if args.out is not None or args.svg:
             raise SystemExit2("farey --theta prints its result; it takes no "
                               "--out or --svg")
         theta = _parse_angle(args.theta)
@@ -699,9 +699,7 @@ def _farey_svg(m, n):
     width, samples = 480, 160  # pixels, points per branch
     span = math.pi / n
     sc = width / span
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{width}" viewBox="0 0 {width} {width}">',
-           f'<rect width="{width}" height="{width}" fill="white" '
+    out = [f'<rect width="{width}" height="{width}" fill="white" '
            'stroke="black"/>',
            f'<line x1="0" y1="{width}" x2="{width}" y2="0" '
            'stroke="#cccccc"/>']
@@ -714,15 +712,14 @@ def _farey_svg(m, n):
             pts.append(f"{th * sc:.2f},{width - image * sc:.2f}")
         out.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                    'stroke="black"/>')
-    out.append("</svg>")
-    return "\n".join(out)
+    return _svg(width, width, out)
 
 
 def cmd_recognize(args):
     if not 0 < args.tol < math.inf:
         raise SystemExit2(f"--tol must be finite and above 0, got {args.tol}")
     m, n = args.m, args.n
-    if args.itinerary:
+    if args.itinerary is not None:
         if args.depth is not None:
             raise SystemExit2("recognize --depth is for --word; --itinerary "
                               "gives the branches itself")
@@ -734,7 +731,7 @@ def cmd_recognize(args):
             raise SystemExit2(usage) from None
         if len(flat) < 3 or len(flat) % 2 == 0:
             raise SystemExit2(usage)
-    elif args.word:
+    elif args.word is not None:
         word = _parse_word(args.word)
         depth = 8 if args.depth is None else args.depth
         if depth < 1:

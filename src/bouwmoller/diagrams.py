@@ -4,7 +4,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import getitem
 
-from .surface import _check_pair, _dumps, side_seats
+from .surface import _check_pair, _dot, _dumps, side_seats
 
 
 class NotAdmissible(ValueError):
@@ -56,16 +56,14 @@ class TransitionDiagram:
         return _dumps(data, indent)
 
     def to_dot(self):
-        name = "derivation" if self.arrow_labels else "transitions"
-        out = [f"digraph {name} {{"]
-        for row in self.grid:
-            out.append("  { rank=same; " + "; ".join(str(v) for v in row) + " }")
+        out = ["{ rank=same; " + "; ".join(map(str, row)) + " }"
+               for row in self.grid]
         for a, b in sorted(self.arrows):
             lab = self.arrow_labels.get((a, b))
             attr = f' [label="{lab}"]' if lab is not None else ""
-            out.append(f"  {a} -> {b}{attr};")
-        out.append("}")
-        return "\n".join(out)
+            out.append(f"{a} -> {b}{attr};")
+        return _dot("digraph", "derivation" if self.arrow_labels
+                    else "transitions", out)
 
 
 def build_T0(m, n):

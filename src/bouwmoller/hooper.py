@@ -12,7 +12,7 @@ tests/test_hooper.py.
 
 import math
 
-from .diagrams import _check_pair, t0_grid
+from .diagrams import _check_pair, _dot, t0_grid
 
 
 def is_white(node):
@@ -55,21 +55,20 @@ class HooperDiagram:
         return not self.is_interior(a) and not self.is_interior(b)
 
     def to_dot(self):
-        out = ["graph hooper {"]
+        out = []
         for i in range(self.m + 1):
             for j in range(self.n + 1):
                 fill = "white" if is_white((i, j)) else "black"
                 shape = "circle" if self.is_interior((i, j)) else "point"
-                out.append(f'  "{i},{j}" [shape={shape}, style=filled, fillcolor={fill}];')
+                out.append(f'"{i},{j}" [shape={shape}, style=filled, fillcolor={fill}];')
         for e in self.edges():
             if self.is_completely_degenerate(e):
                 continue
             (a, b) = self.endpoints(e)
             lab = self.label(e)
             tag = f' [label="{e[0]}{lab}"]' if lab is not None else ""
-            out.append(f'  "{a[0]},{a[1]}" -- "{b[0]},{b[1]}"{tag};')
-        out.append("}")
-        return "\n".join(out)
+            out.append(f'"{a[0]},{a[1]}" -- "{b[0]},{b[1]}"{tag};')
+        return _dot("graph", "hooper", out)
 
 
 def build_hooper(m, n):
@@ -90,7 +89,8 @@ def heights(m, n):
     out = {}
     for i in range(1, m):
         for j in range(1, n):
-            out[(i, j)] = sum(w[u] for u in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)))
+            # left to right: sum() of floats is compensated from 3.12 on
+            out[(i, j)] = w[i - 1, j] + w[i + 1, j] + w[i, j - 1] + w[i, j + 1]
     return out
 
 

@@ -196,32 +196,24 @@ class Surface:
     def to_svg(self, segments=()):
         """SVG picture of the polygon chain, with optional overlay segments."""
         width = 640  # pixels
-        xs0 = min(p.bounds()[0] for p in self.polygons)
-        ys0 = min(p.bounds()[1] for p in self.polygons)
-        xs1 = max(p.bounds()[2] for p in self.polygons)
-        ys1 = max(p.bounds()[3] for p in self.polygons)
+        x0s, y0s, x1s, y1s = zip(*(p.bounds() for p in self.polygons))
+        xs0, ys0, xs1, ys1 = min(x0s), min(y0s), max(x1s), max(y1s)
         pad = 0.1 * max(xs1 - xs0, ys1 - ys0, 1e-9)
         sc = width / (xs1 - xs0 + 2 * pad)
-        heightpx = (ys1 - ys0 + 2 * pad) * sc
 
         def pt(x, y):
             return f"{(x - xs0 + pad) * sc:.2f},{(ys1 + pad - y) * sc:.2f}"
 
-        out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-               f'height="{heightpx:.0f}" viewBox="0 0 {width:.0f} {heightpx:.0f}">']
-        for poly in self.polygons:
-            pts = " ".join(pt(x, y) for x, y in poly.vertices)
-            out.append(f'<polygon points="{pts}" fill="none" stroke="black"/>')
+        out = [f'<polygon points="{" ".join(pt(*v) for v in p.vertices)}" '
+               'fill="none" stroke="black"/>' for p in self.polygons]
         for label in self.labels:
             for k, e in self.seats(label):
-                mx, my = self.polygons[k].edge_midpoint(e)
-                out.append(f'<text x="{(mx - xs0 + pad) * sc:.2f}" '
-                           f'y="{(ys1 + pad - my) * sc:.2f}" font-size="10">{label}</text>')
+                x, y = pt(*self.polygons[k].edge_midpoint(e)).split(",")
+                out.append(f'<text x="{x}" y="{y}" font-size="10">{label}</text>')
         for (x0, y0), (x1, y1) in segments:
             out.append(f'<polyline points="{pt(x0, y0)} {pt(x1, y1)}" '
                        f'fill="none" stroke="red"/>')
-        out.append("</svg>")
-        return "\n".join(out)
+        return _svg(width, (ys1 - ys0 + 2 * pad) * sc, out)
 
 
 def _canon(obj):
@@ -239,6 +231,18 @@ def _dumps(obj, indent=None):
     """The one canonical JSON writer: sorted keys, floats through _canon."""
     return json.dumps(_canon(obj), sort_keys=True, indent=indent,
                       ensure_ascii=False)
+
+
+def _svg(width, height, elements):
+    """The one SVG writer: elements in an envelope of whole pixels."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+            f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">')
+    return "\n".join([head, *elements, "</svg>"])
+
+
+def _dot(kind, name, statements):
+    """The one DOT writer: a kind ("graph" or "digraph") block named name."""
+    return "\n".join([f"{kind} {name} {{", *("  " + s for s in statements), "}"])
 
 
 @lru_cache(maxsize=None, typed=True)

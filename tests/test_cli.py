@@ -6,6 +6,8 @@ import math
 import re
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -115,7 +117,8 @@ def _cli_runs(m, n):
     the first run prints; its cyclic derive is a pinned usage error."""
     s = ["-m", str(m), "-n", str(n)]
     vertices = build_surface(m, n).polygons[0].vertices
-    x, y = (sum(c) / len(vertices) for c in zip(*vertices))
+    # left to right, as sum() added floats before Python 3.12
+    x, y = (reduce(add, c, 0) / len(vertices) for c in zip(*vertices))
     runs = [["trace", *s, "--theta", "0.3", "--crossings", "400"],
             ["surface", *s, "--svg", "--out"],
             ["diagram", *s, "--out"],
@@ -261,6 +264,17 @@ def test_trace_report_schema(tmp_path):
      "renormalization needs m, n >= 3, got (2, 5)"),
     (("recognize", "-m", "2", "-n", "5", "--itinerary", "0,1,1", "--tol",
       "0"), "renormalization needs m, n >= 3, got (2, 5)"),
+    # an empty value is given, not absent
+    (("trace", "-m", "4", "-n", "3", "--theta", "0.3", "--start", ""),
+     "--start must be K:X,Y"),
+    (("recognize", "-m", "4", "-n", "3", "--itinerary", ""),
+     "--itinerary must be integers b0,a1,b1[,a2,b2...], got ''"),
+    (("surface", "-m", "4", "-n", "3", "--out", ""),
+     "No such file or directory: ''"),
+    (("subst", "-m", "4", "-n", "3", "-i", "1", "--word", "", "--out", "x"),
+     "subst --word prints its image"),
+    (("farey", "-m", "4", "-n", "3", "--theta", "0.35", "--out", ""),
+     "farey --theta prints its result"),
 ], ids=["zero-denominator", "no-such-polygon", "outside-polygon",
         "no-such-side", "unknown-arrow", "negative-crossings", "zero-crossings",
         "nan-angle", "inf-angle", "farey-inf-angle", "generate-unknown-side",
@@ -276,13 +290,21 @@ def test_trace_report_schema(tmp_path):
         "recognize-zero-tol", "recognize-negative-tol",
         "recognize-word-no-side", "gate-before-derive",
         "gate-before-farey-depth", "gate-before-subst-out",
-        "gate-before-recognize-tol"])
+        "gate-before-recognize-tol", "empty-start", "empty-itinerary",
+        "empty-out", "subst-empty-word-out", "farey-theta-empty-out"])
 def test_bad_arguments_are_usage_errors(args, message):
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
     assert message in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("word", ["", ","], ids=["empty", "comma"])
+def test_an_empty_word_has_the_empty_image(word, capsys):
+    assert main(["subst", "-m", "4", "-n", "3", "-i", "1", "-j", "1",
+                 "--word", word]) == 0
+    assert capsys.readouterr() == ("\n", "")
 
 
 @pytest.mark.parametrize("args", [

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,38 @@ def test_only_the_surface_writes_json():
     names = [info.name for info in pkgutil.iter_modules(bouwmoller.__path__)]
     calls = {name: _json_dumps_calls(name) for name in names + ["__init__"]}
     assert {name: k for name, k in calls.items() if k} == {"surface": 1}
+
+
+def _literals(source):
+    """Every string literal of the source, each f-string with {} for its
+    fields."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                          for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _writes_svg_or_dot(source):
+    dot_header = re.compile(r"^\s*(strict\s+)?(di)?graph\b[^\n]*\{\s*$", re.M)
+    return any("<svg" in s or "</svg>" in s or dot_header.search(s)
+               for s in _literals(source))
+
+
+def test_only_the_surface_writes_svg_and_dot():
+    # every picture leaves through surface._svg and every graph through
+    # surface._dot, so no other module holds an envelope or a header
+    names = [info.name for info in pkgutil.iter_modules(bouwmoller.__path__)]
+    holders = {name for name in names + ["__init__"] if _writes_svg_or_dot(
+        Path(bouwmoller.__file__).with_name(f"{name}.py").read_text(
+            encoding="utf-8"))}
+    assert holders == {"surface"}
+    # control: the envelopes and headers each writer once held are caught
+    for held in ["out = ['<svg xmlns=\"http://www.w3.org/2000/svg\">']",
+                 "out.append('</svg>')", "out = ['graph hooper {']",
+                 "out = [f'digraph {name} {{']"]:
+        assert _writes_svg_or_dot(held), held
 
 
 def _callers(tree, name):
